@@ -1,6 +1,6 @@
 """Engine benchmark: per-phase timings of the clustering hot paths.
 
-Times the four pipeline phases — neighbour graph (per backend strategy),
+Times the four pipeline phases — neighbour graph (blocked backend),
 link matrix, agglomeration (per engine) and labelling (one-shot and
 batched through the streaming labeler) — on a reproducible synthetic
 random-basket workload, and emits the ``BENCH_engine.json`` perf baseline
@@ -52,15 +52,6 @@ BENCH_CLUSTERS = 8
 #: unlabelled points into.
 LABEL_BATCHES = 8
 
-#: Neighbour backends timed per size, and the row keys their timings are
-#: recorded under.  Every timed backend's adjacency is asserted identical
-#: to the first one's, so the benchmark doubles as a backend-equivalence
-#: check at full workload size.
-NEIGHBOR_BENCH_STRATEGIES = (
-    ("vectorized", "neighbors_vectorized_s"),
-    ("blocked", "neighbors_blocked_s"),
-)
-
 
 def engine_workload(n: int, rng: int = 0) -> list[frozenset]:
     """Generate the benchmark's random-basket transactions."""
@@ -109,24 +100,7 @@ def time_engine_phases(
     """
     transactions = engine_workload(n, rng=rng)
 
-    # One timing loop per neighbour backend; the first backend's graph is
-    # what the link/agglomeration phases consume, and every further
-    # backend is asserted bit-identical to it.
-    neighbor_timings: dict[str, float] = {}
-    graph = None
-    for strategy, key in NEIGHBOR_BENCH_STRATEGIES:
-        candidate, seconds = _time_neighbors(transactions, theta, strategy, repeats)
-        neighbor_timings[key] = seconds
-        if graph is None:
-            graph = candidate
-        elif (graph.adjacency != candidate.adjacency).nnz:
-            raise AssertionError(
-                "neighbour backend mismatch at n=%d: %r disagrees with %r"
-                % (n, strategy, NEIGHBOR_BENCH_STRATEGIES[0][0])
-            )
-    # Legacy key: the vectorized time doubles as the denominator of the
-    # labelling gate's ratio signal (label_s / neighbors_s).
-    neighbors_seconds = neighbor_timings["neighbors_vectorized_s"]
+    graph, neighbors_seconds = _time_neighbors(transactions, theta, "blocked", repeats)
     start = time.perf_counter()
     links = links_from_neighbors(graph)
     links_seconds = time.perf_counter() - start
@@ -155,8 +129,7 @@ def time_engine_phases(
         "n_clusters_requested": n_clusters,
         "links_nnz": int(links.nnz),
         "n_merges": len(flat_result.merge_history),
-        "neighbors_s": neighbors_seconds,
-        **neighbor_timings,
+        "neighbors_blocked_s": neighbors_seconds,
         "links_s": links_seconds,
         "agglomerate_flat_s": flat_seconds,
         "agglomerate_arena_s": arena_seconds,

@@ -1,8 +1,8 @@
 """Perf gate: fail when hot-path phase timings regress against the baseline.
 
 ``BENCH_engine.json`` (committed at the repository root by
-:mod:`repro.bench.engine_bench`) records the flat engine's agglomeration,
-labelling and per-backend neighbour times per workload size.  The gate compares a freshly
+:mod:`repro.bench.engine_bench`) records the agglomeration, labelling and
+blocked-backend neighbour times per workload size.  The gate compares a freshly
 measured run against those numbers and reports every size whose time
 exceeds the committed baseline by more than ``max_ratio`` (plus a small
 absolute slack that keeps millisecond-scale measurements from tripping the
@@ -20,9 +20,8 @@ machine-robust signal per phase: :func:`check_speedup_regression` compares
 the flat-over-reference *speedup ratio* of the agglomeration, and
 :func:`check_ratio_regression` compares one phase time *relative to
 another* measured in the same process — the labelling phases against the
-neighbour phase, the blocked neighbour backend against the vectorized one,
-and the vectorized backend against the link phase (both sparse-product
-bound).  The benchmark driver flags
+blocked neighbour phase, and the blocked neighbour phase against the link
+phase (both sparse-product bound).  ``bench_engine.py`` flags
 a regression only when both the absolute and the relative signal of a phase
 trip — a uniformly slower machine slows everything and keeps the ratios,
 while a genuine hot-path regression breaks them.
@@ -48,13 +47,12 @@ DEFAULT_SLACK_SECONDS = 0.05
 
 #: Phase timings the gate watches: the agglomeration merge loop (flat and
 #: arena engines), both labelling paths (one-shot and batched/streaming)
-#: and both gated neighbour backends (one-shot vectorized and blocked).
+#: and the blocked neighbour backend.
 DEFAULT_PHASE_METRICS = (
     "agglomerate_flat_s",
     "agglomerate_arena_s",
     "label_s",
     "label_batched_s",
-    "neighbors_vectorized_s",
     "neighbors_blocked_s",
 )
 
@@ -68,7 +66,6 @@ DEFAULT_PHASE_SLACKS = {
     "agglomerate_arena_s": DEFAULT_SLACK_SECONDS,
     "label_s": 0.01,
     "label_batched_s": 0.01,
-    "neighbors_vectorized_s": 0.01,
     "neighbors_blocked_s": 0.01,
 }
 
@@ -197,7 +194,7 @@ def check_ratio_regression(
     current: dict,
     baseline: dict,
     metric: str = "label_s",
-    reference_metric: str = "neighbors_s",
+    reference_metric: str = "neighbors_blocked_s",
     max_ratio: float = DEFAULT_MAX_RATIO,
 ) -> list[str]:
     """Machine-robust phase check: compare ``metric / reference_metric``.

@@ -3,8 +3,10 @@
 The modules follow the structure of the ROCK paper:
 
 * :mod:`repro.core.neighbors` — thresholded similarity graph (Section 3.1),
-  built through a pluggable backend registry (bruteforce / vectorized /
-  blocked / inverted-index, all bit-identical);
+  built through a pluggable backend registry (bruteforce / blocked /
+  inverted-index, all bit-identical);
+* :mod:`repro.core.join` — the exact threshold join ``sim >= theta``
+  under the fast neighbour backends, labelling and the online splice;
 * :mod:`repro.core.links` — link (common-neighbour) computation (Section 3.2
   and the ``compute_links`` procedure of Section 4);
 * :mod:`repro.core.goodness` — criterion function and goodness measure

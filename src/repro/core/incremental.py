@@ -19,9 +19,8 @@ outcome of the ordinary sample/cluster phases) and then serves
    the stream is split into batches).
 2. **Splice** the batch into the live link structure.  The inserted
    points' neighbour rows are computed against the retained incidence
-   (one ``batch x live`` sparse product thresholded through the measure's
-   vectorized-counts capability; the within-batch block goes through the
-   pluggable backend registry via
+   (the ``batch x live`` exact threshold join of :mod:`repro.core.join`;
+   the within-batch block goes through the pluggable backend registry via
    :func:`~repro.core.neighbors.compute_neighbors`).  The point-level
    link matrix is updated with three block products — inserting points
    ``P`` with cross-adjacency ``C`` adds ``C^T C`` links between existing
@@ -80,10 +79,10 @@ from repro.core.goodness import (
     ExponentFunction,
     default_expected_links_exponent,
 )
+from repro.core.join import threshold_pairs
 from repro.core.labeling import StreamingLabeler
 from repro.core.links import links_from_neighbors
 from repro.core.neighbors import compute_neighbors
-from repro.core.neighbors.graph import complete_adjacency
 from repro.data.encoding import build_item_index, transactions_to_incidence
 from repro.errors import ConfigurationError, DataValidationError
 from repro.similarity.base import SetSimilarity, supports_vectorized_counts
@@ -729,12 +728,11 @@ class IncrementalRock:
     ) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
         """Adjacency blocks of a batch: ``(batch x live, batch x batch)``.
 
-        The cross block is one sparse intersection product thresholded
-        through the measure's vectorized-counts capability (with the same
-        empty-pair and ``theta == 0`` conventions as the fast backends);
-        the within-batch block goes through the backend registry.  For
-        measures without the capability both blocks fall back to pair-by-
-        pair evaluation (the bruteforce spec).
+        The cross block is the exact threshold join of the batch against
+        the live points (:func:`repro.core.join.threshold_pairs`); the
+        within-batch block goes through the backend registry.  For
+        measures without the vectorized-counts capability both blocks fall
+        back to pair-by-pair evaluation (the bruteforce spec).
         """
         n_old = len(self._points)
         n_new = len(batch)
@@ -750,39 +748,15 @@ class IncrementalRock:
             self._incidence.resize((n_old, n_columns))
         batch_sizes = np.asarray([len(t) for t in batch], dtype=np.int64)
 
-        if self.theta == 0.0:
-            cross = sparse.csr_matrix(np.ones((n_new, n_old), dtype=bool))
-        elif self._vectorizable:
-            intersections = (batch_incidence @ self._incidence.T).tocoo()
-            rows, cols = intersections.row, intersections.col
-            similarity = self.measure.similarity_from_counts(
-                intersections.data.astype(np.int64),
-                batch_sizes[rows],
-                self._sizes[cols],
+        if self._vectorizable:
+            rows, cols = threshold_pairs(
+                batch_incidence,
+                self._incidence,
+                batch_sizes,
+                self._sizes,
+                self.theta,
+                self.measure,
             )
-            keep = similarity >= self.theta
-            rows, cols = rows[keep], cols[keep]
-            # Empty-vs-empty pairs never intersect, so the product misses
-            # them; the measure decides whether they qualify (the same
-            # rule as empty_pair_edges / the labeler's empty-pair fix-up).
-            zero = np.zeros(1, dtype=np.int64)
-            empty_similarity = float(
-                np.asarray(
-                    self.measure.similarity_from_counts(zero, zero, zero)
-                ).ravel()[0]
-            )
-            empty_new = np.nonzero(batch_sizes == 0)[0]
-            empty_old = np.nonzero(self._sizes == 0)[0]
-            if empty_similarity >= self.theta and empty_new.size and empty_old.size:
-                rows = np.concatenate(
-                    [rows, np.repeat(empty_new, empty_old.size)]
-                )
-                cols = np.concatenate([cols, np.tile(empty_old, empty_new.size)])
-            cross = sparse.coo_matrix(
-                (np.ones(len(rows), dtype=bool), (rows, cols)),
-                shape=(n_new, n_old),
-                dtype=bool,
-            ).tocsr()
         else:
             rows_list: list[int] = []
             cols_list: list[int] = []
@@ -791,16 +765,16 @@ class IncrementalRock:
                     if self.measure(point, other) >= self.theta:
                         rows_list.append(t)
                         cols_list.append(j)
-            cross = sparse.coo_matrix(
-                (np.ones(len(rows_list), dtype=bool), (rows_list, cols_list)),
-                shape=(n_new, n_old),
-                dtype=bool,
-            ).tocsr()
+            rows = np.asarray(rows_list, dtype=np.int64)
+            cols = np.asarray(cols_list, dtype=np.int64)
+        cross = sparse.coo_matrix(
+            (np.ones(len(rows), dtype=bool), (rows, cols)),
+            shape=(n_new, n_old),
+            dtype=bool,
+        ).tocsr()
 
         if n_new == 1:
             within = sparse.csr_matrix((1, 1), dtype=bool)
-        elif self.theta == 0.0:
-            within = complete_adjacency(n_new)
         else:
             within = compute_neighbors(
                 batch,

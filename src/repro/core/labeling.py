@@ -17,10 +17,12 @@ zero that is the largest cluster).
 Two counting strategies implement the neighbour pass, selected by the
 ``strategy`` parameter:
 
-* ``"sparse-matmul"`` — build the unlabelled × retained-sample
-  intersection-count matrix with one sparse product over the shared item
-  incidence (see :func:`repro.data.encoding.transactions_to_incidence`),
-  threshold it into neighbour indicators and accumulate per-cluster counts.
+* ``"sparse-matmul"`` — join the unlabelled points against the retained
+  sample through the exact threshold join
+  (:func:`repro.core.join.threshold_counts`): a row-blocked sparse product
+  over the shared item incidence (see
+  :func:`repro.data.encoding.transactions_to_incidence`), thresholded block
+  by block and folded straight into per-cluster counts.
   Requires a measure with the
   :class:`~repro.similarity.base.VectorizedSetSimilarity` capability
   (Jaccard, Dice, overlap coefficient, set cosine) — the same capability
@@ -49,6 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.goodness import ExponentFunction, default_expected_links_exponent
+from repro.core.join import threshold_counts
 from repro.data.encoding import build_item_index, transactions_to_incidence
 from repro.errors import ConfigurationError, DataValidationError
 from repro.similarity.base import SetSimilarity, supports_vectorized_counts
@@ -239,28 +242,12 @@ class StreamingLabeler:
         and ``item_index`` — no RNG is consumed, which is what lets a
         restored labeler reproduce the original bit-for-bit.
         """
-        measure = self.measure
         self.n_clusters = len(self.fractions)
         self.normalisers = np.array(
             [(len(subset) + 1.0) ** self._exponent for subset in self.fractions],
             dtype=float,
         )
-        self.subset_sizes = np.asarray(
-            [len(subset) for subset in self.fractions], dtype=float
-        )
         if self._use_sparse:
-            # Whether a pair of empty sets counts as neighbours under this
-            # measure (all built-in set measures define empty == empty as
-            # similarity 1); decided once, applied per batch.
-            zero = np.zeros(1, dtype=np.int64)
-            self._empty_pair_qualifies = bool(
-                float(
-                    np.asarray(
-                        measure.similarity_from_counts(zero, zero, zero)
-                    ).ravel()[0]
-                )
-                >= self.theta
-            )
             retained = [self.sample[i] for subset in self.fractions for i in subset]
             if item_index is None:
                 item_index = build_item_index(self.sample)
@@ -268,14 +255,13 @@ class StreamingLabeler:
             self._cluster_of_column = np.repeat(
                 np.arange(self.n_clusters), [len(s) for s in self.fractions]
             )
-            # Built exactly once; every batch reuses it.
-            self._retained_incidence, _ = transactions_to_incidence(
-                retained, item_index
-            )
+            # Built exactly once; every batch reuses it.  CSC, so the join
+            # gets its transpose row-major without a per-batch conversion.
+            retained_incidence, _ = transactions_to_incidence(retained, item_index)
+            self._retained_incidence = retained_incidence.tocsc()
             self._retained_sizes = np.asarray(
                 [len(t) for t in retained], dtype=np.int64
             )
-            self._empty_retained = np.nonzero(self._retained_sizes == 0)[0]
 
     # ------------------------------------------------------------------ #
     def state(self) -> dict:
@@ -340,54 +326,24 @@ class StreamingLabeler:
 
     # ------------------------------------------------------------------ #
     def _sparse_counts(self, batch: list[frozenset]) -> np.ndarray:
-        """Vectorized neighbour counts of one batch via the sparse product."""
-        n_points = len(batch)
-        counts = np.zeros((n_points, self.n_clusters), dtype=float)
-        if not n_points:
-            return counts
-        if self.theta == 0.0:
-            # Every pair qualifies (similarity is always >= 0).
-            counts[:] = self.subset_sizes
-            return counts
+        """Neighbour counts of one batch through the threshold join."""
         batch_incidence, _ = transactions_to_incidence(
             batch, self._item_index, ignore_unknown=True
         )
         # True set sizes (unknown items included): the incidence row sums
         # would under-count points holding items outside the shared index.
         batch_sizes = np.asarray([len(t) for t in batch], dtype=np.int64)
-
-        intersections = (batch_incidence @ self._retained_incidence.T).tocoo()
-        rows = intersections.row
-        columns = intersections.col
-        overlaps = intersections.data.astype(np.int64)
-        similarity = self.measure.similarity_from_counts(
-            overlaps, batch_sizes[rows], self._retained_sizes[columns]
+        counts = threshold_counts(
+            batch_incidence,
+            self._retained_incidence,
+            batch_sizes,
+            self._retained_sizes,
+            self.theta,
+            self.measure,
+            groups=self._cluster_of_column,
+            n_groups=self.n_clusters,
         )
-        neighbors = similarity >= self.theta
-        np.add.at(
-            counts,
-            (rows[neighbors], self._cluster_of_column[columns[neighbors]]),
-            1.0,
-        )
-
-        # Pairs of empty sets never intersect, so the product misses them;
-        # whether they qualify was decided once from the measure's
-        # empty-pair similarity.  One empty and one non-empty set have
-        # similarity 0 < theta here for every vectorizable measure.
-        empty_batch = np.nonzero(batch_sizes == 0)[0]
-        if self._empty_pair_qualifies and empty_batch.size and self._empty_retained.size:
-            np.add.at(
-                counts,
-                (
-                    np.repeat(empty_batch, self._empty_retained.size),
-                    np.tile(
-                        self._cluster_of_column[self._empty_retained],
-                        empty_batch.size,
-                    ),
-                ),
-                1.0,
-            )
-        return counts
+        return counts.astype(float)
 
     # ------------------------------------------------------------------ #
     def label_batch(self, batch: Sequence[frozenset]) -> LabelingResult:

@@ -34,24 +34,17 @@ DEFAULT_NEIGHBOR_STRATEGY = AUTO_STRATEGY
 #: Row-block height of the blocked backend when none is requested.
 DEFAULT_BLOCK_SIZE = 512
 
-#: Point count at which ``auto`` switches from the one-shot vectorized
-#: product to the blocked product: below it the one-shot COO intermediate
-#: is small enough that the per-block overhead is not worth paying; above
-#: it the blocked product is both faster (it only computes the upper
-#: triangle) and memory-bounded.
-AUTO_BLOCKED_THRESHOLD = 2048
-
 #: Point count at which ``auto`` starts considering the inverted index at
-#: all.  Below it the one-shot/blocked products are fast regardless of
-#: sparsity, so the posting-list statistics pass is not worth running.
-AUTO_INVERTED_MIN_POINTS = AUTO_BLOCKED_THRESHOLD
+#: all.  Below it the blocked product is fast regardless of sparsity, so
+#: the posting-list statistics pass is not worth running.
+AUTO_INVERTED_MIN_POINTS = 2048
 
 #: Candidate-pair density at or below which ``auto`` picks the inverted
 #: index over the blocked product.  The inverted index's work scales with
 #: the squared posting-list lengths (the candidate mass), not with
 #: ``n^2``: when the posting lists generate candidates for at most this
 #: fraction of all unordered pairs — a sparse, rare-item workload — it
-#: skips almost every pair, while the matmul backends still pay the block
+#: skips almost every pair, while the blocked product still pays the block
 #: scheduling over all rows.  Dense tight-cluster workloads sit far above
 #: this bound and keep the blocked product.
 AUTO_INVERTED_MAX_DENSITY = 0.02
@@ -171,15 +164,12 @@ def select_backend_name(
     Measures without the
     :class:`~repro.similarity.base.VectorizedSetSimilarity` capability can
     only be evaluated pair by pair (brute force).  Vectorizable measures
-    use the one-shot matmul up to :data:`AUTO_BLOCKED_THRESHOLD` points
-    and the memory-bounded blocked product beyond it — unless
-    ``transactions`` are supplied and their posting-list statistics mark
-    the workload as sparse and rare-item
-    (:func:`candidate_pair_density` at or below
+    use the blocked product — unless ``transactions`` are supplied and
+    their posting-list statistics mark the workload as sparse and
+    rare-item (:func:`candidate_pair_density` at or below
     :data:`AUTO_INVERTED_MAX_DENSITY` with at least
     :data:`AUTO_INVERTED_MIN_POINTS` points), where the inverted index
-    skips almost every pair and wins.  Without ``transactions`` (size-only
-    callers) the choice is as before the heuristic existed.
+    skips almost every pair and wins.
     """
     if not supports_vectorized_counts(measure):
         return "bruteforce"
@@ -190,9 +180,7 @@ def select_backend_name(
         <= AUTO_INVERTED_MAX_DENSITY
     ):
         return "inverted-index"
-    if n_points >= AUTO_BLOCKED_THRESHOLD:
-        return "blocked"
-    return "vectorized"
+    return "blocked"
 
 
 def validate_block_size(block_size: int | None) -> int:

@@ -1,19 +1,15 @@
-"""Inverted-index neighbour backend: posting-list candidate pruning.
+"""Inverted-index neighbour backend: posting-list candidate generation.
 
 Instead of multiplying incidence matrices, this backend walks a classic
 inverted index: for every item, the *posting list* of the points carrying
 it (one CSC column of the incidence matrix).  A pair of points is a
 candidate exactly when the points share at least one item, and counting
 how often each encoded pair occurs across all posting lists yields the
-pair's intersection size for free.  Candidates are then pruned with the
-measure's theta-dependent **minimum-overlap bound**
-(:meth:`~repro.similarity.base.VectorizedSetSimilarity.minimum_intersection`
-— e.g. a Jaccard pair needs ``|A ∩ B| >= theta (|A|+|B|) / (1+theta)``)
-before the surviving pairs are verified exactly with
-``similarity_from_counts``.  The bound is applied with a tiny epsilon
-slack so float rounding can only ever admit an extra candidate for
-verification, never prune a boundary pair — which is what keeps the
-adjacency bit-identical to the other backends.
+pair's intersection size for free.  The candidates with their counts
+then go through the exact threshold join (:mod:`repro.core.join`) in
+place of its incidence product, so the threshold, the empty-pair rule and
+the ``theta == 0`` rule are the same code as every other backend's —
+which is what keeps the adjacency bit-identical to theirs.
 
 Work scales with the squared posting-list lengths (items shared by many
 points dominate), not with ``n^2``: on sparse, rare-item workloads this
@@ -32,13 +28,16 @@ buffer, not the total pair mass.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 import numpy as np
 from scipy import sparse
 
-from repro.core.pairfold import PAIR_FOLD_LIMIT, fold_pair_counts
+from repro.core.join import CountBlock, threshold_pairs
 from repro.core.neighbors.base import VECTORIZED_CAPABILITY_HINT
-from repro.core.neighbors.graph import complete_adjacency, empty_pair_edges
-from repro.core.neighbors.vectorized import incidence_and_sizes, threshold_count_pairs
+from repro.core.neighbors.graph import adjacency_from_upper_pairs
+from repro.core.pairfold import PAIR_FOLD_LIMIT, fold_pair_counts
+from repro.data.encoding import transactions_to_incidence
 from repro.similarity.base import (
     SetSimilarity,
     VectorizedSetSimilarity,
@@ -46,8 +45,67 @@ from repro.similarity.base import (
 )
 
 
+def posting_list_counts(incidence: sparse.csr_matrix) -> Iterator[CountBlock]:
+    """Intersection counts of every pair sharing an item, from posting lists.
+
+    One count block over the strict upper triangle of the self-join (the
+    :data:`~repro.core.join.CountBlock` layout with zero offsets); pairs
+    that share no item are absent.
+    """
+    n = incidence.shape[0]
+    postings = incidence.tocsc()
+    postings.sort_indices()
+    indptr = postings.indptr.astype(np.int64)
+    point_ids = postings.indices.astype(np.int64)
+    posting_lengths = np.diff(indptr)
+
+    # Item-driven candidate sweep, grouped by posting-list length: all
+    # items shared by exactly ``length`` points contribute their
+    # C(length, 2) unordered pairs in one vectorised pass (posting
+    # lists are index-sorted, so the upper-triangle template already
+    # emits each pair from its smaller index).  Pair occurrences are
+    # folded into the running unique-pair counts before the buffer
+    # outgrows PAIR_FOLD_LIMIT, and the fold result doubles as the
+    # per-pair intersection count (a pair occurs once per shared item).
+    running: tuple[np.ndarray, np.ndarray] | None = None
+    pair_chunks: list[np.ndarray] = []
+    buffered = 0
+    for length in np.unique(posting_lengths[posting_lengths >= 2]).tolist():
+        starts = indptr[:-1][posting_lengths == length]
+        template_left, template_right = np.triu_indices(length, k=1)
+        pairs_per_list = template_left.size
+        # Two-level chunking keeps every fancy-indexing allocation at
+        # or under the fold limit: lists are taken in groups whose
+        # combined pair count fits, and a single list whose C(len, 2)
+        # already exceeds it walks its pair template in segments.
+        lists_per_chunk = max(1, PAIR_FOLD_LIMIT // pairs_per_list)
+        segment = (
+            pairs_per_list
+            if pairs_per_list <= PAIR_FOLD_LIMIT
+            else PAIR_FOLD_LIMIT
+        )
+        for chunk_start in range(0, starts.size, lists_per_chunk):
+            chunk_starts = starts[chunk_start:chunk_start + lists_per_chunk]
+            lists = point_ids[chunk_starts[:, None] + np.arange(length)]
+            for segment_start in range(0, pairs_per_list, segment):
+                left = template_left[segment_start:segment_start + segment]
+                right = template_right[segment_start:segment_start + segment]
+                codes = lists[:, left].ravel() * n + lists[:, right].ravel()
+                pair_chunks.append(codes)
+                buffered += codes.size
+                if buffered >= PAIR_FOLD_LIMIT:
+                    running = fold_pair_counts(running, pair_chunks)
+                    pair_chunks = []
+                    buffered = 0
+    if pair_chunks:
+        running = fold_pair_counts(running, pair_chunks)
+    if running is not None:
+        codes, intersections = running
+        yield 0, 0, codes // n, codes % n, intersections
+
+
 class InvertedIndexBackend:
-    """Posting-list candidate generation + bound pruning + exact verify."""
+    """Posting-list candidate generation + the exact threshold join."""
 
     name = "inverted-index"
     capability_hint = VECTORIZED_CAPABILITY_HINT
@@ -63,89 +121,10 @@ class InvertedIndexBackend:
         item_index: dict | None = None,
         block_size: int | None = None,
     ) -> sparse.csr_matrix:
-        n = len(transactions)
-        if theta == 0.0:
-            return complete_adjacency(n)
-        incidence, sizes = incidence_and_sizes(transactions, item_index)
-        postings = incidence.tocsc()
-        postings.sort_indices()
-        indptr = postings.indptr.astype(np.int64)
-        point_ids = postings.indices.astype(np.int64)
-        posting_lengths = np.diff(indptr)
-
-        # Item-driven candidate sweep, grouped by posting-list length: all
-        # items shared by exactly ``length`` points contribute their
-        # C(length, 2) unordered pairs in one vectorised pass (posting
-        # lists are index-sorted, so the upper-triangle template already
-        # emits each pair from its smaller index).  Pair occurrences are
-        # folded into the running unique-pair counts before the buffer
-        # outgrows PAIR_FOLD_LIMIT, and the fold result doubles as the
-        # per-pair intersection count (a pair occurs once per shared item).
-        running: tuple[np.ndarray, np.ndarray] | None = None
-        pair_chunks: list[np.ndarray] = []
-        buffered = 0
-        for length in np.unique(posting_lengths[posting_lengths >= 2]).tolist():
-            starts = indptr[:-1][posting_lengths == length]
-            template_left, template_right = np.triu_indices(length, k=1)
-            pairs_per_list = template_left.size
-            # Two-level chunking keeps every fancy-indexing allocation at
-            # or under the fold limit: lists are taken in groups whose
-            # combined pair count fits, and a single list whose C(len, 2)
-            # already exceeds it walks its pair template in segments.
-            lists_per_chunk = max(1, PAIR_FOLD_LIMIT // pairs_per_list)
-            segment = (
-                pairs_per_list
-                if pairs_per_list <= PAIR_FOLD_LIMIT
-                else PAIR_FOLD_LIMIT
-            )
-            for chunk_start in range(0, starts.size, lists_per_chunk):
-                chunk_starts = starts[chunk_start:chunk_start + lists_per_chunk]
-                lists = point_ids[chunk_starts[:, None] + np.arange(length)]
-                for segment_start in range(0, pairs_per_list, segment):
-                    left = template_left[segment_start:segment_start + segment]
-                    right = template_right[segment_start:segment_start + segment]
-                    codes = lists[:, left].ravel() * n + lists[:, right].ravel()
-                    pair_chunks.append(codes)
-                    buffered += codes.size
-                    if buffered >= PAIR_FOLD_LIMIT:
-                        running = fold_pair_counts(running, pair_chunks)
-                        pair_chunks = []
-                        buffered = 0
-        if pair_chunks:
-            running = fold_pair_counts(running, pair_chunks)
-
-        if running is not None:
-            codes, candidate_counts = running
-            candidate_rows = codes // n
-            candidate_cols = codes % n
-
-            # Minimum-overlap bound: pairs that cannot reach theta are
-            # dropped before the exact check.  The slack keeps rounding
-            # one-sided (extra candidates verify and fail; boundary pairs
-            # are never lost).
-            bound = np.asarray(
-                measure.minimum_intersection(
-                    theta, sizes[candidate_rows], sizes[candidate_cols]
-                )
-            )
-            admitted = candidate_counts >= bound - 1e-9 * (1.0 + np.abs(bound))
-            upper_rows, upper_cols = threshold_count_pairs(
-                candidate_rows[admitted],
-                candidate_cols[admitted],
-                candidate_counts[admitted],
-                sizes,
-                theta,
-                measure,
-            )
-        else:
-            upper_rows = np.empty(0, dtype=np.int64)
-            upper_cols = np.empty(0, dtype=np.int64)
-        extra_rows, extra_cols = empty_pair_edges(sizes, theta, measure)
-        all_rows = np.concatenate([upper_rows, upper_cols, extra_rows])
-        all_cols = np.concatenate([upper_cols, upper_rows, extra_cols])
-        adjacency = sparse.coo_matrix(
-            (np.ones(len(all_rows), dtype=bool), (all_rows, all_cols)),
-            shape=(n, n), dtype=bool,
-        ).tocsr()
-        adjacency.eliminate_zeros()
-        return adjacency
+        incidence, _ = transactions_to_incidence(transactions, item_index)
+        sizes = np.diff(incidence.indptr)
+        rows, cols = threshold_pairs(
+            incidence, incidence, sizes, sizes, theta, measure,
+            self_join=True, counts=posting_list_counts(incidence),
+        )
+        return adjacency_from_upper_pairs(len(transactions), rows, cols)

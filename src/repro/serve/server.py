@@ -60,6 +60,10 @@ DEFAULT_HOST = "127.0.0.1"
 #: Most queued ingest requests coalesced into one WAL append + splice.
 DEFAULT_MAX_COALESCE = 32
 
+#: Seconds :meth:`ReproServer.stop` gives open connections to finish the
+#: exchange in progress before it aborts them.
+CONNECTION_CLOSE_GRACE_S = 5.0
+
 _VERBS = ("label", "ingest", "status", "snapshot", "shutdown")
 
 
@@ -187,6 +191,10 @@ class ReproServer:
         self._timer_task: asyncio.Task | None = None
         self._stopped: asyncio.Event | None = None
         self._stopping = False
+        #: Handler task -> stream pair of every open connection.
+        self._connections: dict[
+            asyncio.Task, tuple[asyncio.StreamReader, asyncio.StreamWriter]
+        ] = {}
         self._enforce_live_bound()
 
     # ------------------------------------------------------------------ #
@@ -309,20 +317,22 @@ class ReproServer:
         return address
 
     async def stop(self) -> None:
-        """Stop listening, settle the writer and close the store.
+        """Stop listening, settle the writer, close the store and connections.
 
         Idempotent.  When the writer task died on a non-cancellation
         exception (a crash — e.g. an injected WAL fault), the store is
         deliberately *not* closed: a final checkpoint would be a lie about
         a server that just failed mid-write, and resume() recovers from
-        the WAL instead.
+        the WAL instead.  Connections still open (idle clients included)
+        are closed and their handlers awaited, so none is left to be
+        cancelled when the event loop ends.
         """
         if self._stopped is not None:
             self._stopped.set()
+        self._stopping = True
         server, self._server = self._server, None
         if server is not None:
             server.close()
-            await server.wait_closed()
         timer, self._timer_task = self._timer_task, None
         if timer is not None:
             timer.cancel()
@@ -332,7 +342,6 @@ class ReproServer:
         writer_crashed = False
         if writer is not None:
             if not writer.done():
-                self._stopping = True
                 writer.cancel()
             (settled,) = await asyncio.gather(writer, return_exceptions=True)
             writer_crashed = isinstance(settled, BaseException) and not isinstance(
@@ -345,6 +354,27 @@ class ReproServer:
                 )
         if self.store is not None and not writer_crashed:
             self.store.close(extra=self._serve_extra())
+        await self._close_connections()
+        if server is not None:
+            await server.wait_closed()
+
+    async def _close_connections(self) -> None:
+        """End every open connection and await its handler task.
+
+        Each handler reads end-of-stream next, so an exchange in progress
+        still gets its response; a handler still running after
+        :data:`CONNECTION_CLOSE_GRACE_S` has its transport aborted.
+        """
+        connections, self._connections = self._connections, {}
+        if not connections:
+            return
+        for reader, _ in connections.values():
+            reader.feed_eof()
+        _, late = await asyncio.wait(connections, timeout=CONNECTION_CLOSE_GRACE_S)
+        for task in late:
+            connections[task][1].transport.abort()
+        if late:
+            await asyncio.wait(late)
 
     # ------------------------------------------------------------------ #
     # Connection handling
@@ -352,6 +382,9 @@ class ReproServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        task = asyncio.current_task()
+        assert task is not None
+        self._connections[task] = (reader, writer)
         try:
             while True:
                 try:
@@ -367,7 +400,12 @@ class ReproServer:
                 await write_frame(writer, response)
                 if response.get("closing"):
                     break
+        except ConnectionError:
+            # The peer, or an aborting stop(), dropped the connection
+            # mid-exchange; there is nobody left to answer.
+            pass
         finally:
+            self._connections.pop(task, None)
             writer.close()
             try:
                 await writer.wait_closed()

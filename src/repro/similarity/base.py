@@ -33,12 +33,12 @@ class VectorizedSetSimilarity(SetSimilarity, Protocol):
 
     A measure with this capability can evaluate whole arrays of pairs at
     once given only the intersection size and the two set sizes — which is
-    exactly what the sparse incidence products of the fast neighbour
-    backends (:mod:`repro.core.neighbors`) produce.  Any measure
-    implementing it works with the ``vectorized``, ``blocked`` and
+    exactly what the threshold join (:mod:`repro.core.join`) under the
+    fast neighbour backends, the labeller and the online splice produces.
+    Any measure implementing it works with the ``blocked`` and
     ``inverted-index`` backends.
 
-    Contract (required by the candidate generation of those backends):
+    Contract (required by the candidate generation of the join):
     two *disjoint* sets must have similarity 0 unless both are empty —
     i.e. ``similarity_from_counts(0, a, b) == 0`` whenever ``a + b > 0``.
     All the built-in set measures (Jaccard, Dice, overlap coefficient,
@@ -46,7 +46,7 @@ class VectorizedSetSimilarity(SetSimilarity, Protocol):
 
     ``similarity_from_counts`` must agree bit-for-bit with ``__call__`` on
     the same sizes: the cross-backend equivalence guarantee (brute force ≡
-    vectorized ≡ blocked ≡ inverted-index adjacency) rests on both paths
+    blocked ≡ inverted-index adjacency) rests on both paths
     performing the same IEEE-754 operations.
     """
 
@@ -75,10 +75,11 @@ class VectorizedSetSimilarity(SetSimilarity, Protocol):
 
         The exact mathematical bound (as a float array): a pair with
         ``|A ∩ B| < minimum_intersection(theta, |A|, |B|)`` cannot have
-        similarity >= ``theta``.  The inverted-index backend uses it to
-        prune candidate pairs before exact verification; callers should
-        apply a small epsilon slack when comparing integer counts against
-        it so floating-point rounding never prunes a boundary pair.
+        similarity >= ``theta``.  A candidate filter may use it to skip
+        pairs before the exact verification of :mod:`repro.core.join`;
+        callers should apply a small epsilon slack when comparing integer
+        counts against it so floating-point rounding never prunes a
+        boundary pair.
         """
         ...  # pragma: no cover - protocol definition
 

@@ -34,14 +34,14 @@ class TestComputeNeighbors:
         graph = compute_neighbors(two_group_transactions, theta=0.2)
         assert graph.adjacency.diagonal().sum() == 0
 
-    def test_bruteforce_and_vectorized_agree(self, two_group_transactions, rng):
+    def test_bruteforce_and_blocked_agree(self, two_group_transactions, rng):
         transactions = [
             frozenset(rng.choice(20, size=rng.integers(1, 8), replace=False).tolist())
             for _ in range(40)
         ]
         for theta in (0.1, 0.3, 0.5, 0.8):
             brute = compute_neighbors(transactions, theta, strategy="bruteforce")
-            fast = compute_neighbors(transactions, theta, strategy="vectorized")
+            fast = compute_neighbors(transactions, theta, strategy="blocked")
             assert (brute.adjacency != fast.adjacency).nnz == 0
 
     def test_empty_transactions_are_mutually_similar(self):
@@ -70,20 +70,20 @@ class TestComputeNeighbors:
         assert graph.measure_name == "dice"
         assert graph.n_edges() > 0
 
-    def test_vectorized_accepts_dice(self, two_group_transactions):
+    def test_blocked_accepts_dice(self, two_group_transactions):
         # The historical Jaccard-only restriction is gone: any measure with
         # the vectorized-counts capability runs through the fast backends.
         fast = compute_neighbors(
-            two_group_transactions, 0.4, measure=DiceSimilarity(), strategy="vectorized"
+            two_group_transactions, 0.4, measure=DiceSimilarity(), strategy="blocked"
         )
         brute = compute_neighbors(
             two_group_transactions, 0.4, measure=DiceSimilarity(), strategy="bruteforce"
         )
         assert (fast.adjacency != brute.adjacency).nnz == 0
 
-    def test_vectorized_with_non_vectorizable_measure_rejected(self, two_group_transactions):
+    def test_fast_backends_with_non_vectorizable_measure_rejected(self, two_group_transactions):
         measure = SimpleMatchingSimilarity(n_attributes=8)
-        for strategy in ("vectorized", "blocked", "inverted-index"):
+        for strategy in ("blocked", "inverted-index"):
             with pytest.raises(ConfigurationError):
                 compute_neighbors(
                     two_group_transactions, 0.4, measure=measure, strategy=strategy
@@ -116,7 +116,7 @@ class TestComputeNeighbors:
 
     def test_strategies_constant_is_consistent(self):
         assert set(NEIGHBOR_STRATEGIES) == {
-            "auto", "bruteforce", "vectorized", "blocked", "inverted-index"
+            "auto", "bruteforce", "blocked", "inverted-index"
         }
         # The constant is derived from the registry, not a parallel list.
         assert NEIGHBOR_STRATEGIES == ("auto", *available_backends())
@@ -128,7 +128,7 @@ class TestComputeNeighbors:
 
 
 class TestCompleteAdjacency:
-    """The theta == 0 all-pairs graph is built directly in CSR form."""
+    """The theta == 0 all-pairs graph (the threshold join's theta = 0 rule)."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7])
     def test_matches_bruteforce(self, n, rng):
@@ -136,9 +136,9 @@ class TestCompleteAdjacency:
             frozenset(rng.choice(12, size=int(rng.integers(1, 5)), replace=False).tolist())
             for _ in range(n)
         ]
-        vectorized = compute_neighbors(transactions, theta=0.0, strategy="vectorized")
+        blocked = compute_neighbors(transactions, theta=0.0, strategy="blocked")
         bruteforce = compute_neighbors(transactions, theta=0.0, strategy="bruteforce")
-        assert (vectorized.adjacency != bruteforce.adjacency).nnz == 0
+        assert (blocked.adjacency != bruteforce.adjacency).nnz == 0
 
     def test_complete_graph_shape(self):
         graph = compute_neighbors([{1}, {2}, {3}, {4}], theta=0.0)
@@ -151,7 +151,7 @@ class TestCompleteAdjacency:
         assert graph.n_edges() == 3
 
 
-class TestVectorizedEmptyPairs:
+class TestBlockedEmptyPairs:
     def test_many_empty_transactions(self):
         transactions = [frozenset()] * 4 + [frozenset({1, 2})]
         graph = compute_neighbors(transactions, theta=0.5)
@@ -165,9 +165,9 @@ class TestVectorizedEmptyPairs:
             for _ in range(20)
         ] + [frozenset(), frozenset(), frozenset()]
         for theta in (0.2, 0.6, 1.0):
-            vectorized = compute_neighbors(transactions, theta=theta, strategy="vectorized")
+            blocked = compute_neighbors(transactions, theta=theta, strategy="blocked")
             bruteforce = compute_neighbors(transactions, theta=theta, strategy="bruteforce")
-            assert (vectorized.adjacency != bruteforce.adjacency).nnz == 0
+            assert (blocked.adjacency != bruteforce.adjacency).nnz == 0
 
 
 class TestDegreeHistogram:

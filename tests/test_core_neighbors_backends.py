@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from repro.core.neighbors import (
-    AUTO_BLOCKED_THRESHOLD,
     AUTO_INVERTED_MAX_DENSITY,
     AUTO_INVERTED_MIN_POINTS,
     DEFAULT_BLOCK_SIZE,
@@ -33,7 +32,7 @@ from repro.similarity.jaccard import (
 )
 from repro.similarity.overlap import SimpleMatchingSimilarity
 
-BACKENDS = ("bruteforce", "vectorized", "blocked", "inverted-index")
+BACKENDS = ("bruteforce", "blocked", "inverted-index")
 
 #: Thresholds exercised by the grid: both extremes plus interior values
 #: that sit exactly on representable similarity boundaries (0.5 is a
@@ -101,7 +100,9 @@ class TestCrossBackendEquivalence:
     @pytest.mark.parametrize("block_size", [1, 3, 7, 64, 1000])
     def test_blocked_block_size_never_changes_result(self, block_size, rng):
         transactions = random_transactions(rng, 35)
-        reference = compute_neighbors(transactions, 0.4, strategy="vectorized").adjacency
+        reference = compute_neighbors(
+            transactions, 0.4, strategy="blocked", block_size=len(transactions)
+        ).adjacency
         blocked = compute_neighbors(
             transactions, 0.4, strategy="blocked", block_size=block_size
         ).adjacency
@@ -137,13 +138,13 @@ class TestAutoSelection:
         assert select_backend_name(measure, 10) == "bruteforce"
         assert select_backend_name(measure, 10**6) == "bruteforce"
 
-    def test_small_inputs_use_one_shot_vectorized(self):
-        assert select_backend_name(JaccardSimilarity(), 100) == "vectorized"
-        assert select_backend_name(JaccardSimilarity(), AUTO_BLOCKED_THRESHOLD - 1) == "vectorized"
+    def test_small_inputs_use_blocked(self):
+        assert select_backend_name(JaccardSimilarity(), 100) == "blocked"
+        assert select_backend_name(JaccardSimilarity(), AUTO_INVERTED_MIN_POINTS - 1) == "blocked"
 
-    def test_large_inputs_switch_to_blocked(self):
-        assert select_backend_name(JaccardSimilarity(), AUTO_BLOCKED_THRESHOLD) == "blocked"
-        assert select_backend_name(DiceSimilarity(), AUTO_BLOCKED_THRESHOLD + 1) == "blocked"
+    def test_large_inputs_use_blocked(self):
+        assert select_backend_name(JaccardSimilarity(), AUTO_INVERTED_MIN_POINTS) == "blocked"
+        assert select_backend_name(DiceSimilarity(), AUTO_INVERTED_MIN_POINTS + 1) == "blocked"
 
 
 class TestAutoInvertedHeuristic:
@@ -188,12 +189,12 @@ class TestAutoInvertedHeuristic:
             select_backend_name(JaccardSimilarity(), n, transactions) == "blocked"
         )
 
-    def test_below_scale_threshold_stays_vectorized_even_when_sparse(self):
+    def test_below_scale_threshold_stays_blocked_even_when_sparse(self):
         n = AUTO_INVERTED_MIN_POINTS - 1
         transactions = self.rare_item_transactions(n)
         assert (
             select_backend_name(JaccardSimilarity(), n, transactions)
-            == "vectorized"
+            == "blocked"
         )
 
     def test_without_transactions_the_size_only_choice_is_unchanged(self):
@@ -260,7 +261,7 @@ class TestAutoInvertedHeuristic:
         transactions = random_transactions(rng, 30)
         auto = compute_neighbors(transactions, 0.4, strategy="auto").adjacency
         explicit = compute_neighbors(
-            transactions, 0.4, strategy="vectorized"
+            transactions, 0.4, strategy="blocked"
         ).adjacency
         assert (auto != explicit).nnz == 0
 
@@ -329,9 +330,10 @@ class TestRegistryErrorPaths:
 
             def build_adjacency(self, transactions, theta, measure,
                                 item_index=None, block_size=None):
-                from repro.core.neighbors import complete_adjacency
+                from scipy import sparse
 
-                return complete_adjacency(len(transactions))
+                n = len(transactions)
+                return sparse.csr_matrix(~np.eye(n, dtype=bool))
 
         register_backend(ConstantBackend())
         try:

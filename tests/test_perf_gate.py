@@ -75,17 +75,16 @@ class TestEngineBenchSmoke:
 
     def test_per_strategy_neighbor_timings_recorded(self):
         row = time_engine_phases(60, include_reference=False, repeats=1)
-        assert row["neighbors_vectorized_s"] > 0
         assert row["neighbors_blocked_s"] > 0
-        # The legacy key stays the labelling-ratio denominator.
-        assert row["neighbors_s"] == row["neighbors_vectorized_s"]
+        # The legacy alias and the retired backend's key are gone.
+        assert "neighbors_s" not in row
+        assert "neighbors_vectorized_s" not in row
 
     def test_neighbor_metrics_are_gated(self):
         from repro.bench.perf_gate import DEFAULT_PHASE_METRICS, DEFAULT_PHASE_SLACKS
 
-        for metric in ("neighbors_vectorized_s", "neighbors_blocked_s"):
-            assert metric in DEFAULT_PHASE_METRICS
-            assert DEFAULT_PHASE_SLACKS[metric] <= 0.01
+        assert "neighbors_blocked_s" in DEFAULT_PHASE_METRICS
+        assert DEFAULT_PHASE_SLACKS["neighbors_blocked_s"] <= 0.01
 
     def test_run_engine_bench_writes_json(self, tmp_path):
         path = tmp_path / "BENCH_engine.json"
@@ -196,31 +195,31 @@ class TestRatioRegressionCheck:
     def test_ratio_holds_passes(self):
         from repro.bench.perf_gate import check_ratio_regression
 
-        current = _payload([{"n": 500, "label_s": 0.4, "neighbors_s": 0.2}])
-        baseline = _payload([{"n": 500, "label_s": 0.2, "neighbors_s": 0.1}])
+        current = _payload([{"n": 500, "label_s": 0.4, "neighbors_blocked_s": 0.2}])
+        baseline = _payload([{"n": 500, "label_s": 0.2, "neighbors_blocked_s": 0.1}])
         assert check_ratio_regression(current, baseline) == []
 
     def test_ratio_blowup_fails(self):
         from repro.bench.perf_gate import check_ratio_regression
 
-        current = _payload([{"n": 500, "label_s": 1.0, "neighbors_s": 0.1}])
-        baseline = _payload([{"n": 500, "label_s": 0.2, "neighbors_s": 0.1}])
+        current = _payload([{"n": 500, "label_s": 1.0, "neighbors_blocked_s": 0.1}])
+        baseline = _payload([{"n": 500, "label_s": 0.2, "neighbors_blocked_s": 0.1}])
         violations = check_ratio_regression(current, baseline)
         assert len(violations) == 1
-        assert "label_s/neighbors_s" in violations[0]
+        assert "label_s/neighbors_blocked_s" in violations[0]
 
     def test_missing_metrics_ignored(self):
         from repro.bench.perf_gate import check_ratio_regression
 
         current = _payload([{"n": 500, "label_s": 9.0}])
-        baseline = _payload([{"n": 500, "label_s": 0.1, "neighbors_s": 0.1}])
+        baseline = _payload([{"n": 500, "label_s": 0.1, "neighbors_blocked_s": 0.1}])
         assert check_ratio_regression(current, baseline) == []
 
     def test_zero_reference_ignored(self):
         from repro.bench.perf_gate import check_ratio_regression
 
-        current = _payload([{"n": 500, "label_s": 9.0, "neighbors_s": 0.0}])
-        baseline = _payload([{"n": 500, "label_s": 0.1, "neighbors_s": 0.1}])
+        current = _payload([{"n": 500, "label_s": 9.0, "neighbors_blocked_s": 0.0}])
+        baseline = _payload([{"n": 500, "label_s": 0.1, "neighbors_blocked_s": 0.1}])
         assert check_ratio_regression(current, baseline) == []
 
 
@@ -251,16 +250,16 @@ class TestBatchedLabelMetricGated:
         from repro.bench.perf_gate import check_ratio_regression
 
         current = _payload([
-            {"n": 500, "label_batched_s": 1.0, "neighbors_s": 0.1}
+            {"n": 500, "label_batched_s": 1.0, "neighbors_blocked_s": 0.1}
         ])
         baseline = _payload([
-            {"n": 500, "label_batched_s": 0.2, "neighbors_s": 0.1}
+            {"n": 500, "label_batched_s": 0.2, "neighbors_blocked_s": 0.1}
         ])
         violations = check_ratio_regression(
             current, baseline, metric="label_batched_s"
         )
         assert len(violations) == 1
-        assert "label_batched_s/neighbors_s" in violations[0]
+        assert "label_batched_s/neighbors_blocked_s" in violations[0]
 
 
 class TestPerMetricSlack:

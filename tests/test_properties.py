@@ -151,7 +151,7 @@ class TestClusteringProperties:
     @given(transactions=transaction_lists, theta=st.floats(min_value=0.05, max_value=0.95))
     def test_neighbor_strategies_agree(self, transactions, theta):
         brute = compute_neighbors(transactions, theta, strategy="bruteforce")
-        fast = compute_neighbors(transactions, theta, strategy="vectorized")
+        fast = compute_neighbors(transactions, theta, strategy="blocked")
         assert (brute.adjacency != fast.adjacency).nnz == 0
 
     @settings(deadline=None, max_examples=40)

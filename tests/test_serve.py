@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import asyncio
 import os
+import socket
 import struct
 import subprocess
 import sys
@@ -676,3 +677,44 @@ class TestServeCliEndToEnd:
         # includes the pre-restart traffic.
         assert second_status["n_ingested"] == first_status["n_ingested"] + BATCH
         assert second_status["n_served_ingests"] == 2
+
+    def test_shutdown_with_an_idle_connection_prints_no_traceback(
+        self, transactions, tmp_path
+    ):
+        # A client that stays connected without sending a frame while
+        # another one shuts the server down: its handler, blocked in
+        # read_frame, must be closed by stop() rather than cancelled at
+        # event-loop teardown (which printed an "Exception in callback
+        # ... CancelledError" traceback).
+        repo_root = Path(__file__).resolve().parent.parent
+        data_file = tmp_path / "baskets.txt"
+        self._write_baskets(data_file, transactions[:BOUNDARY])
+        process = self._spawn(
+            [
+                "serve", str(data_file),
+                "--clusters", "4", "--theta", "0.5", "--sample-size", "120",
+                "--min-cluster-size", "2",
+            ],
+            repo_root,
+        )
+        idle = None
+        try:
+            host, port = self._await_port(process)
+            idle = socket.create_connection((host, port), timeout=30)
+
+            async def shut_down():
+                async with await ServeClient.connect(host, port) as client:
+                    await client.shutdown()
+
+            asyncio.run(shut_down())
+            # Read to EOF while the idle connection is still open: the
+            # server has exited (and printed everything) by then.
+            output = process.stdout.read()
+        finally:
+            if idle is not None:
+                idle.close()
+            process.stdout.close()
+            returncode = process.wait(timeout=60)
+        assert returncode == 0, output
+        assert "Traceback" not in output, output
+        assert "CancelledError" not in output, output
