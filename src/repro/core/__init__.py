@@ -75,10 +75,14 @@ from repro.core.neighbors import (
     register_backend,
 )
 from repro.core.outliers import drop_small_clusters, isolated_point_mask
-from repro.core.pipeline import RockPipeline, RockPipelineResult, rock_cluster
+from repro.core.pipeline import (
+    PipelineParams,
+    RockPipeline,
+    RockPipelineResult,
+    rock_cluster,
+)
 from repro.core.rock import ENGINES, RockClustering, RockResult
 from repro.core.sampling import chernoff_sample_size, draw_sample, reservoir_sample
-from repro.core.shard_worker import ShardWorkerConfig
 from repro.core.sharding import (
     ADAPTIVE_REPRESENTATIVES,
     AUTO_SHARD_EXECUTOR,
@@ -97,6 +101,7 @@ from repro.core.sharding import (
     merge_shard_summaries,
     resolve_shard_executor,
     stable_shard_hash,
+    validate_merge_options,
 )
 
 __all__ = [
@@ -136,6 +141,7 @@ __all__ = [
     "register_backend",
     "drop_small_clusters",
     "isolated_point_mask",
+    "PipelineParams",
     "RockPipeline",
     "RockPipelineResult",
     "rock_cluster",
@@ -154,12 +160,12 @@ __all__ = [
     "ShardClusterResult",
     "ShardPlan",
     "ShardRunResults",
-    "ShardWorkerConfig",
     "SummaryMergeResult",
     "adaptive_representative_bounds",
     "allocate_sample_sizes",
     "cluster_shards",
     "merge_shard_summaries",
+    "validate_merge_options",
     "resolve_shard_executor",
     "stable_shard_hash",
 ]

@@ -1,52 +1,52 @@
-"""End-to-end ROCK pipeline: sample, cluster, label, handle outliers.
+"""End-to-end ROCK pipeline: sample, cluster, label, finalize.
 
-This module composes the pieces exactly as the paper's overview figure does:
+The paper's method is one sequence — draw a sample, cluster it, label the
+disk-resident points against the sampled clusters — and every entry point
+of :class:`RockPipeline` runs exactly that sequence of four phases.  The
+modes differ only in which variant of a phase they plug in:
 
-1. draw a random sample (optional — small data sets are clustered whole);
-2. optionally discard isolated points (outlier pre-filtering);
-3. run the agglomerative ROCK algorithm on the (filtered) sample;
-4. optionally prune tiny clusters (late-outlier handling);
-5. label every point that was not clustered — the rest of the sample and
-   the non-sampled remainder — against the sampled clusters.
+1. **Sample** — the in-memory :func:`draw_sample` (:meth:`~RockPipeline.run`),
+   an exact or reservoir pass over a re-iterable source
+   (:meth:`~RockPipeline.run_streaming`, :meth:`~RockPipeline.run_online`,
+   one-shard :meth:`~RockPipeline.run_sharded`), or one shard-allocated
+   pass (multi-shard :meth:`~RockPipeline.run_sharded`).
+2. **Cluster** — :func:`cluster_sample` (outlier pre-filter, agglomeration,
+   small-cluster pruning) on the whole sample, or on every shard followed
+   by the weighted summary merge (:mod:`repro.core.sharding`).  Both
+   variants yield one :class:`_Clustered` artefact: the retained sample,
+   its stream positions, the kept clusters, the sampled positions still to
+   label, the :class:`RockResult` and the item index.
+3. **Label** — :meth:`~RockPipeline.run` labels every pending point in one
+   :func:`label_points` batch and keeps the neighbour counts; streaming and
+   sharded runs feed :class:`StreamingLabeler` batches; online runs ingest
+   the batches into an :class:`IncrementalRock` session, whose live
+   clustering absorbs the stream.  The out-of-core variants share one
+   :class:`_StreamState` that walks the stream and records the labels.
+4. **Finalize** — one vectorised renumbering of the clusters by decreasing
+   size (ties: first member) over the full input.
 
-The result exposes labels over the *full* input, cluster membership, the
-intermediate artefacts and per-phase timings, which is what the scalability
-benchmarks consume.
+Because the phases are shared, the mode contracts hold by construction:
+on the same data and seed, exact streaming labels equal :meth:`run`'s,
+``run_sharded(n_shards=1)`` equals :meth:`run_streaming`, and
+:meth:`run_online` without a refresh threshold equals :meth:`run_streaming`
+— including the pipeline generator's position afterwards.
 
-Four entry points share that structure.  :meth:`RockPipeline.run` takes
-the whole data set in memory.  :meth:`RockPipeline.run_streaming` takes a
-re-iterable source (a transaction file path, an in-memory collection or an
-iterator factory) and keeps peak memory bounded by the sample plus one
-batch: the sample is drawn from a first pass over the source, clustered in
-memory, and the disk-resident remainder is labelled batch by batch through
-one :class:`repro.core.labeling.StreamingLabeler` whose retained-fraction
-incidence is built exactly once.  On the same data and seed both entry
-points produce bit-identical labels.  :meth:`RockPipeline.run_sharded`
-additionally shards the *clustering* phase itself
-(:mod:`repro.core.sharding`): the source is partitioned into shards, every
-shard clusters its own sample (optionally in parallel), the per-shard
-cluster summaries are merged by a weighted summary agglomeration, and the
-merged clustering labels the full source through the same streaming
-labeler.  With one shard it takes the streaming path unchanged, so
-``n_shards=1`` is bit-identical to :meth:`RockPipeline.run_streaming`.
-:meth:`RockPipeline.run_online` is the online-ingest counterpart: the same
-sampling and clustering phases bootstrap an
-:class:`repro.core.incremental.IncrementalRock` session, the remainder is
-*ingested* batch by batch (labelled through the shared
-:class:`~repro.core.labeling.StreamingLabeler` while the live clustering
-absorbs every batch), and :meth:`RockPipeline.ingest` keeps accepting new
-batches after the run returns.  Without a refresh trigger the labels are
-bit-identical to :meth:`RockPipeline.run_streaming` on the same data and
-seed.
+Every phase reaches its collaborators (``iter_transactions``,
+``build_item_index``, ``draw_sample``, ``reservoir_sample``,
+``build_shard_samples``, ``compute_neighbors``, ``label_points``,
+``StreamingLabeler``, ``cluster_shards``, ``merge_shard_summaries``)
+through this module's globals, so the end-to-end benchmark's tracer
+(``perfbench/tracer.py``) can wrap each of them in one place.
 """
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import os
 import time
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass, field, fields
+from typing import Any, Callable, ClassVar
 
 import numpy as np
 
@@ -62,7 +62,6 @@ from repro.core.neighbors import compute_neighbors
 from repro.core.outliers import drop_small_clusters, partition_isolated_points
 from repro.core.rock import RockClustering, RockResult, as_transactions
 from repro.core.sampling import draw_sample, reservoir_sample
-from repro.core.shard_worker import ShardWorkerConfig
 from repro.core.sharding import (
     DEFAULT_SHARD_EXECUTOR,
     DEFAULT_SHARD_STRATEGY,
@@ -76,6 +75,7 @@ from repro.core.sharding import (
     count_shard_sizes,
     merge_shard_summaries,
     resolve_shard_executor,
+    validate_merge_options,
 )
 from repro.data.encoding import build_item_index
 from repro.data.io import iter_transactions
@@ -88,11 +88,67 @@ from repro.errors import (
 )
 from repro.persistence.session import PersistentSession
 from repro.similarity.base import SetSimilarity
-from repro.similarity.jaccard import JaccardSimilarity
 from repro.types import ClusterSummary
 
 #: Sampling strategies accepted by :meth:`RockPipeline.run_streaming`.
 STREAMING_SAMPLE_METHODS = ("exact", "reservoir")
+
+#: The :class:`PipelineParams` fields every result reports, in this order.
+_REPORTED_PARAMETERS = (
+    "n_clusters",
+    "theta",
+    "sample_size",
+    "min_neighbors",
+    "min_cluster_size",
+    "labeling_fraction",
+    "assign_outliers",
+    "engine",
+)
+
+
+@dataclass(frozen=True)
+class PipelineParams:
+    """The frozen parameter set of one :class:`RockPipeline`.
+
+    :class:`RockPipeline` builds it once from its constructor arguments and
+    hands the same object to every phase, to process shard workers
+    (:mod:`repro.core.shard_worker`) and — through the
+    :class:`IncrementalRock` session it configures — to checkpoints.  It
+    must pickle for the process executor, so a ``measure`` or
+    ``exponent_function`` that does not (e.g. a lambda) requires the thread
+    executor.  The random generator is run state, not a parameter, and
+    stays on the pipeline.
+    """
+
+    n_clusters: int
+    theta: float
+    sample_size: int | None
+    measure: SetSimilarity | None
+    min_neighbors: int
+    min_cluster_size: int
+    labeling_fraction: float
+    exponent_function: ExponentFunction | None
+    assign_outliers: bool
+    engine: str
+    neighbor_strategy: str
+    neighbor_block_size: int | None
+    link_strategy: str
+    labeling_strategy: str
+    include_self_links: bool
+    strict: bool
+
+    def kwargs_for(self, constructor: Callable) -> dict[str, Any]:
+        """The fields ``constructor`` accepts, keyed by their shared names."""
+        accepted = inspect.signature(constructor).parameters
+        return {
+            spec.name: getattr(self, spec.name)
+            for spec in fields(self)
+            if spec.name in accepted
+        }
+
+    def samples_everything(self, n_points: int) -> bool:
+        """True when the sample is the whole input (no draw happens)."""
+        return self.sample_size is None or self.sample_size >= n_points
 
 
 @dataclass
@@ -162,21 +218,116 @@ class RockPipelineResult:
         ]
 
 
-def _pending_sample_positions(
-    sample_indices, sample_position_of, isolated, pruned_points
-) -> list[int]:
-    """Full-data-set positions of sampled points the labeler must place.
+# ---------------------------------------------------------------------- #
+# Cluster phase
+# ---------------------------------------------------------------------- #
+def cluster_sample(
+    params: PipelineParams,
+    sample: list[frozenset],
+    positions,
+    item_index: dict,
+    shard_id: int = 0,
+) -> tuple[ShardClusterResult, RockResult]:
+    """Pre-filter, cluster and prune one in-memory sample.
 
-    The isolated points the pre-filter set aside plus the members of
-    pruned clusters, deduplicated in increasing stream order — shared by
-    every out-of-core entry point.
+    ``positions[i]`` is the stream position of ``sample[i]``.  Returns the
+    outcome in stream positions (a :class:`ShardClusterResult`, whose
+    ``timings`` hold the ``"neighbors"`` and ``"clustering"`` seconds) and
+    the agglomeration's :class:`RockResult`.  The single-sample pipelines,
+    thread shard workers and process shard workers all run this function.
     """
-    pending: list[int] = []
-    pending.extend(sample_indices[i] for i in isolated)
-    pending.extend(sample_position_of[j] for j in pruned_points)
-    return sorted(set(pending))
+    timings: dict[str, float] = {}
+    phase_start = time.perf_counter()
+    participating, isolated = list(range(len(sample))), []
+    if params.min_neighbors > 0:
+        graph = compute_neighbors(
+            sample,
+            theta=params.theta,
+            measure=params.measure,
+            strategy=params.neighbor_strategy,
+            item_index=item_index,
+            block_size=params.neighbor_block_size,
+        )
+        kept, set_aside = partition_isolated_points(
+            graph, min_neighbors=params.min_neighbors
+        )
+        # When every sampled point is isolated, cluster them all anyway.
+        if kept:
+            participating, isolated = kept, set_aside
+    clustered_sample = [sample[i] for i in participating]
+    timings["neighbors"] = time.perf_counter() - phase_start
+
+    phase_start = time.perf_counter()
+    model = RockClustering(**params.kwargs_for(RockClustering))
+    rock_result = model.fit(clustered_sample, item_index=item_index).result_
+    timings["clustering"] = time.perf_counter() - phase_start
+
+    kept_clusters, pruned_points = drop_small_clusters(
+        rock_result.clusters, params.min_cluster_size
+    )
+    if not kept_clusters:
+        kept_clusters, pruned_points = [tuple(range(len(clustered_sample)))], []
+    clustered_positions = [positions[i] for i in participating]
+    shard = ShardClusterResult(
+        shard_id=shard_id,
+        clustered_sample=clustered_sample,
+        clustered_positions=clustered_positions,
+        clusters=list(kept_clusters),
+        isolated_positions=[positions[i] for i in isolated],
+        pruned_positions=[clustered_positions[j] for j in pruned_points],
+        timings=timings,
+    )
+    return shard, rock_result
 
 
+@dataclass
+class _Clustered:
+    """What the cluster phase hands the label phase, in every mode.
+
+    ``retained`` are the clustered sample points (what the labeler keeps),
+    ``positions`` their stream positions, ``clusters`` the kept clusters as
+    indices into ``retained``, and ``pending`` the sorted stream positions
+    of sampled points the labeler must still place (isolated or pruned).
+    """
+
+    retained: list[frozenset]
+    positions: list[int]
+    clusters: list[tuple]
+    pending: list[int]
+    rock_result: RockResult
+    item_index: dict
+
+    @classmethod
+    def pool(cls, shards, clusters, rock_result, item_index) -> "_Clustered":
+        """Concatenate shard outcomes; ``clusters`` index the pooled sample."""
+        return cls(
+            retained=[point for shard in shards for point in shard.clustered_sample],
+            positions=[p for shard in shards for p in shard.clustered_positions],
+            clusters=clusters,
+            pending=sorted(
+                {
+                    position
+                    for shard in shards
+                    for position in itertools.chain(
+                        shard.isolated_positions, shard.pruned_positions
+                    )
+                }
+            ),
+            rock_result=rock_result,
+            item_index=item_index,
+        )
+
+    def labels(self, n_points: int) -> np.ndarray:
+        """Labels before finalizing: kept-cluster ids at the retained points."""
+        labels = np.full(n_points, -1, dtype=int)
+        for label, members in enumerate(self.clusters):
+            labels[[self.positions[i] for i in members]] = label
+        return labels
+
+
+# ---------------------------------------------------------------------- #
+# Out-of-core sources and label bookkeeping
+# ---------------------------------------------------------------------- #
 def _pending_batches(batches, sample_set: set):
     """Yield ``(transactions, positions)`` of the non-sample stream points.
 
@@ -252,68 +403,143 @@ def _transaction_batches(
     return factory, len(transactions)
 
 
-class _OnlineIngestState:
-    """Mutable label bookkeeping of one :meth:`RockPipeline.run_online`.
+def _stream_length(batches, known_length: int | None) -> int:
+    """Count the source (unless its length is known); reject an empty one."""
+    if known_length is not None:
+        n_points = known_length
+    else:
+        n_points = sum(len(batch) for batch in batches())
+    _require_points(n_points)
+    return n_points
 
-    Everything the final assembly needs that the ``IncrementalRock`` session
-    does not itself hold: the full-stream label array, per-batch label
-    chunks, the refresh label-space offsets and the progress counters saying
-    which pending batches were already absorbed.  ``to_extra`` packs it into
-    the snapshot's caller-state slot and ``from_extra`` rebuilds it, so a
-    resumed run continues exactly where the checkpoint left off.
+
+def _require_points(n_points: int) -> None:
+    if not n_points:
+        raise DataValidationError("cannot cluster an empty streaming source")
+
+
+def _check_sample_method(sample_method: str) -> None:
+    if sample_method not in STREAMING_SAMPLE_METHODS:
+        raise ConfigurationError(
+            "unknown sample_method %r; expected one of %s"
+            % (sample_method, ", ".join(STREAMING_SAMPLE_METHODS))
+        )
+
+
+@dataclass(kw_only=True)
+class _StreamState:
+    """Label bookkeeping of one out-of-core run (streaming, sharded, online).
+
+    Holds the full-stream label array, the per-batch label chunks, the
+    label-space offsets of online refreshes and the progress counters
+    saying which pending payloads were already placed.  :meth:`payloads`
+    walks the stream in the one order every out-of-core mode labels in —
+    the non-sample remainder batch by batch, then the pending sample
+    points as one final batch.  For online runs ``to_extra`` packs the
+    state into the snapshot's caller-state slot and ``from_extra`` rebuilds
+    it, so a resumed run continues exactly where the checkpoint left off.
     """
 
-    KIND_REMAINDER = "remainder"
-    KIND_SAMPLE = "sample"
+    KIND_REMAINDER: ClassVar[str] = "remainder"
+    KIND_SAMPLE: ClassVar[str] = "sample"
 
-    def __init__(
-        self,
+    n_points: int
+    labels: np.ndarray
+    space_sizes: list[int]
+    sample_indices: list[int]
+    sample_pending: list[int]
+    sample_pending_transactions: list[frozenset]
+    has_remainder: bool
+    rock_result: RockResult
+    batch_size: int
+    sample_method: str | None
+    label_chunks: list[np.ndarray] = field(default_factory=list)
+    labeled_indices: list[int] = field(default_factory=list)
+    # Every refresh opens a fresh labelling space; global label ids are the
+    # per-space labels shifted by the previous spaces' sizes, so
+    # assignments from different spaces never collide.
+    offsets: list[int] = field(default_factory=lambda: [0])
+    remainder_done: int = 0
+    sample_pending_done: bool = False
+
+    @classmethod
+    def start(
+        cls,
         n_points: int,
-        labels: np.ndarray,
-        space_sizes,
-        sample_indices,
-        sample_pending,
-        sample_pending_transactions,
-        has_remainder: bool,
-        rock_result,
+        sample_indices: list[int],
+        transaction_of: dict,
+        clustered: _Clustered,
         batch_size: int,
-        sample_method: str,
-    ):
-        self.n_points = int(n_points)
-        self.labels = labels
-        self.label_chunks: list[np.ndarray] = []
-        self.labeled_indices: list[int] = []
-        # Every refresh opens a fresh labelling space; global label ids
-        # are the per-space labels shifted by the previous spaces' sizes,
-        # so assignments from different spaces never collide.
-        self.offsets = [0]
-        self.space_sizes = list(space_sizes)
-        self.sample_indices = list(sample_indices)
-        self.sample_pending = list(sample_pending)
-        self.sample_pending_transactions = list(sample_pending_transactions)
-        self.has_remainder = bool(has_remainder)
-        self.rock_result = rock_result
-        self.batch_size = int(batch_size)
-        self.sample_method = sample_method
-        self.remainder_done = 0
-        self.sample_pending_done = False
+        sample_method: str | None,
+    ) -> "_StreamState":
+        """Fresh bookkeeping right after the cluster phase."""
+        return cls(
+            n_points=n_points,
+            labels=clustered.labels(n_points),
+            space_sizes=[len(clustered.clusters)],
+            sample_indices=list(sample_indices),
+            sample_pending=clustered.pending,
+            sample_pending_transactions=[
+                transaction_of[i] for i in clustered.pending
+            ],
+            has_remainder=n_points > len(sample_indices),
+            rock_result=clustered.rock_result,
+            batch_size=int(batch_size),
+            sample_method=sample_method,
+        )
 
-    def apply(self, session: IncrementalRock, payload: Any) -> None:
-        """Splice one logged payload: ingest, place labels, advance progress."""
-        batch, positions, kind = payload
-        result = session.ingest(batch)
-        chunk = result.labels.copy()
-        chunk[chunk >= 0] += self.offsets[result.label_space]
+    def payloads(self, batches):
+        """Yield every not-yet-placed ``(batch, positions, kind)`` payload."""
+        if self.has_remainder:
+            skip = self.remainder_done
+            for index, (batch, positions) in enumerate(
+                _pending_batches(batches, set(self.sample_indices))
+            ):
+                if index >= skip:
+                    yield batch, positions, self.KIND_REMAINDER
+        if self.sample_pending and not self.sample_pending_done:
+            yield (
+                self.sample_pending_transactions,
+                self.sample_pending,
+                self.KIND_SAMPLE,
+            )
+
+    def place(self, payload: Any, chunk: np.ndarray) -> None:
+        """Record one payload's labels and advance the progress counters."""
+        _batch, positions, kind = payload
         self.labels[positions] = chunk
         self.labeled_indices.extend(positions)
         self.label_chunks.append(chunk)
-        if result.refreshed:
-            self.offsets.append(self.offsets[-1] + self.space_sizes[-1])
-            self.space_sizes.append(session.n_labeler_clusters)
         if kind == self.KIND_REMAINDER:
             self.remainder_done += 1
         else:
             self.sample_pending_done = True
+
+    def apply(self, session: IncrementalRock, payload: Any) -> None:
+        """Ingest one payload into the live session and place its labels."""
+        result = session.ingest(payload[0])
+        chunk = result.labels.copy()
+        chunk[chunk >= 0] += self.offsets[result.label_space]
+        self.place(payload, chunk)
+        if result.refreshed:
+            self.offsets.append(self.offsets[-1] + self.space_sizes[-1])
+            self.space_sizes.append(session.n_labeler_clusters)
+
+    def labeling(self) -> LabelingResult | None:
+        """The placed labels as one count-free result (``None``: none ran).
+
+        Only the integer labels are kept across batches: a dense
+        neighbour-count matrix would grow ``O(n_points * n_clusters)`` and
+        break the bounded-memory contract.
+        """
+        if not self.label_chunks:
+            return None
+        labels = np.concatenate(self.label_chunks)
+        return LabelingResult(
+            labels=labels,
+            neighbor_counts=np.zeros((0, 0), dtype=float),
+            n_outliers=int(np.sum(labels == -1)),
+        )
 
     def to_extra(self) -> dict:
         return {
@@ -339,7 +565,7 @@ class _OnlineIngestState:
         }
 
     @classmethod
-    def from_extra(cls, extra: dict | None) -> "_OnlineIngestState":
+    def from_extra(cls, extra: dict | None) -> "_StreamState":
         stored = (extra or {}).get("online")
         if stored is None:
             raise SnapshotCorruptionError(
@@ -347,24 +573,7 @@ class _OnlineIngestState:
                 "written by run_online(snapshot_dir=...); resume the bare "
                 "session through PersistentSession.resume instead"
             )
-        state = cls(
-            n_points=stored["n_points"],
-            labels=stored["labels"],
-            space_sizes=stored["space_sizes"],
-            sample_indices=stored["sample_indices"],
-            sample_pending=stored["sample_pending"],
-            sample_pending_transactions=stored["sample_pending_transactions"],
-            has_remainder=stored["has_remainder"],
-            rock_result=stored["rock_result"],
-            batch_size=stored["batch_size"],
-            sample_method=stored["sample_method"],
-        )
-        state.label_chunks = list(stored["label_chunks"])
-        state.labeled_indices = list(stored["labeled_indices"])
-        state.offsets = list(stored["offsets"])
-        state.remainder_done = int(stored["remainder_done"])
-        state.sample_pending_done = bool(stored["sample_pending_done"])
-        return state
+        return cls(**stored)
 
 
 class RockPipeline:
@@ -420,15 +629,15 @@ class RockPipeline:
 
     Notes
     -----
-    :meth:`run` builds the item-to-column index of the full data set once
-    per run (:func:`repro.data.encoding.build_item_index`) and shares it
-    with the vectorised neighbour and labelling phases, so the item universe
-    is only scanned once regardless of how many phases need an incidence
-    matrix.  :meth:`run_streaming` builds the index over the sample only —
-    remainder items outside it cannot intersect the sample and are handled
-    by the labeler without changing any label.  :meth:`run_sharded` builds
-    one index per shard sample for the per-shard clusterings plus one over
-    the pooled samples for the summary merge and the labelling pass.
+    The constructor freezes every argument but ``rng`` into one
+    :class:`PipelineParams` (:attr:`params`).  :meth:`run` builds the
+    item-to-column index of the full data set once per run
+    (:func:`repro.data.encoding.build_item_index`) and shares it with the
+    vectorised neighbour and labelling phases.  The out-of-core modes build
+    it over the sample only — remainder items outside it cannot intersect
+    the sample and are handled by the labeler without changing any label —
+    and :meth:`run_sharded` builds one per shard sample plus one over the
+    pooled samples for the summary merge and the labelling pass.
     """
 
     def __init__(
@@ -457,278 +666,213 @@ class RockPipeline:
             raise ConfigurationError("min_neighbors must be non-negative")
         if min_cluster_size < 1:
             raise ConfigurationError("min_cluster_size must be at least 1")
-        self.n_clusters = int(n_clusters)
-        self.theta = float(theta)
-        self.sample_size = sample_size
-        self.measure = measure
-        self.min_neighbors = int(min_neighbors)
-        self.min_cluster_size = int(min_cluster_size)
-        self.labeling_fraction = float(labeling_fraction)
-        self.exponent_function = exponent_function
-        self.assign_outliers = bool(assign_outliers)
-        self.engine = validate_engine_name(engine)
-        self.neighbor_strategy = neighbor_strategy
-        self.neighbor_block_size = neighbor_block_size
-        self.link_strategy = link_strategy
-        self.labeling_strategy = labeling_strategy
-        self.include_self_links = bool(include_self_links)
+        self.params = PipelineParams(
+            n_clusters=int(n_clusters),
+            theta=float(theta),
+            sample_size=sample_size,
+            measure=measure,
+            min_neighbors=int(min_neighbors),
+            min_cluster_size=int(min_cluster_size),
+            labeling_fraction=float(labeling_fraction),
+            exponent_function=exponent_function,
+            assign_outliers=bool(assign_outliers),
+            engine=validate_engine_name(engine),
+            neighbor_strategy=neighbor_strategy,
+            neighbor_block_size=neighbor_block_size,
+            link_strategy=link_strategy,
+            labeling_strategy=labeling_strategy,
+            include_self_links=bool(include_self_links),
+            strict=bool(strict),
+        )
         self.rng = np.random.default_rng(rng)
-        self.strict = bool(strict)
         self._online_session: IncrementalRock | None = None
         self._online_store: PersistentSession | None = None
 
     # ------------------------------------------------------------------ #
-    def _cluster_sample(self, sample: list[frozenset], item_index: dict, timings: dict):
-        """Phases 2-4 on an in-memory sample: pre-filter, cluster, prune.
+    # Phase helpers shared by the entry points
+    # ------------------------------------------------------------------ #
+    def _labeling_kwargs(self, item_index: dict) -> dict[str, Any]:
+        """Keyword arguments of every labeler the pipeline builds."""
+        params = self.params
+        return {
+            "theta": params.theta,
+            "measure": params.measure,
+            "exponent_function": params.exponent_function,
+            "labeling_fraction": params.labeling_fraction,
+            "rng": self.rng,
+            "strategy": params.labeling_strategy,
+            "item_index": item_index,
+            "assign_outliers": params.assign_outliers,
+        }
 
-        Returns ``(clustered_sample, participating, isolated, rock_result,
-        kept_clusters, pruned_points)``; ``participating``/``isolated`` are
-        positions in ``sample``, cluster members and ``pruned_points`` are
-        positions in ``clustered_sample``.
+    def _new_session(self, refresh_threshold: float | None, rng=None) -> IncrementalRock:
+        return IncrementalRock(
+            **self.params.kwargs_for(IncrementalRock),
+            refresh_threshold=refresh_threshold,
+            rng=rng,
+        )
+
+    def _cluster_one_sample(self, sample, positions, item_index, timings) -> _Clustered:
+        """Cluster phase, single-sample variant."""
+        shard, rock_result = cluster_sample(self.params, sample, positions, item_index)
+        timings.update(shard.timings)
+        return _Clustered.pool([shard], shard.clusters, rock_result, item_index)
+
+    def _streamed_sample(
+        self, batches, known_length: int | None, sample_method: str, timings: dict
+    ) -> tuple[int, list[int], list[frozenset]]:
+        """Sample phase of one out-of-core pass: exact or reservoir.
+
+        ``"exact"`` counts the source (unless its length is known), draws
+        the indices exactly as :meth:`run` does and collects them in a
+        second pass; ``"reservoir"`` draws in one pass.  Returns
+        ``(n_points, sample_indices, sample)``.
         """
         phase_start = time.perf_counter()
-        if self.min_neighbors > 0:
-            graph = compute_neighbors(
-                sample,
-                theta=self.theta,
-                measure=self.measure,
-                strategy=self.neighbor_strategy,
-                item_index=item_index,
-                block_size=self.neighbor_block_size,
+        if sample_method == "reservoir" and self.params.sample_size is not None:
+            sample_indices, sample, n_points = reservoir_sample(
+                itertools.chain.from_iterable(batches()),
+                self.params.sample_size,
+                rng=self.rng,
             )
-            participating, isolated = partition_isolated_points(
-                graph, min_neighbors=self.min_neighbors
-            )
-            if not participating:
-                # Every sampled point is isolated: fall back to clustering all.
-                participating, isolated = list(range(len(sample))), []
+            _require_points(n_points)
         else:
-            participating, isolated = list(range(len(sample))), []
-        clustered_sample = [sample[i] for i in participating]
-        timings["neighbors"] = time.perf_counter() - phase_start
+            n_points = _stream_length(batches, known_length)
+            if self.params.samples_everything(n_points):
+                sample_indices = list(range(n_points))
+            else:
+                sample_indices, _ = draw_sample(
+                    range(n_points), self.params.sample_size, rng=self.rng
+                )
+            wanted = set(sample_indices)
+            sample = [
+                frozenset(transaction)
+                for position, transaction in enumerate(
+                    itertools.chain.from_iterable(batches())
+                )
+                if position in wanted
+            ]
+        timings["sampling"] = time.perf_counter() - phase_start
+        return n_points, sample_indices, sample
 
-        phase_start = time.perf_counter()
-        model = RockClustering(
-            n_clusters=self.n_clusters,
-            theta=self.theta,
-            measure=self.measure,
-            engine=self.engine,
-            neighbor_strategy=self.neighbor_strategy,
-            neighbor_block_size=self.neighbor_block_size,
-            link_strategy=self.link_strategy,
-            include_self_links=self.include_self_links,
-            exponent_function=self.exponent_function,
-            strict=self.strict,
+    def _stream_and_cluster(
+        self, batches, known_length, sample_method: str, batch_size: int, timings
+    ) -> tuple[_StreamState, _Clustered]:
+        """Sample and cluster phases of the single-sample out-of-core modes."""
+        n_points, sample_indices, sample = self._streamed_sample(
+            batches, known_length, sample_method, timings
         )
-        rock_result = model.fit(clustered_sample, item_index=item_index).result_
-        timings["clustering"] = time.perf_counter() - phase_start
+        clustered = self._cluster_one_sample(
+            sample, sample_indices, build_item_index(sample), timings
+        )
+        state = _StreamState.start(
+            n_points,
+            sample_indices,
+            dict(zip(sample_indices, sample)),
+            clustered,
+            batch_size,
+            sample_method,
+        )
+        return state, clustered
 
-        kept_clusters, pruned_points = drop_small_clusters(
-            rock_result.clusters, self.min_cluster_size
+    def _label_streamed(self, state: _StreamState, clustered: _Clustered, batches) -> None:
+        """Label phase of streaming and sharded runs: one shared labeler."""
+        if not (state.has_remainder or state.sample_pending):
+            return
+        labeler = StreamingLabeler(
+            clustered.retained,
+            clustered.clusters,
+            **self._labeling_kwargs(clustered.item_index),
         )
-        if not kept_clusters:
-            kept_clusters = [tuple(range(len(clustered_sample)))]
-            pruned_points = []
-        return (
-            clustered_sample,
-            participating,
-            isolated,
-            rock_result,
-            kept_clusters,
-            pruned_points,
-        )
+        for payload in state.payloads(batches):
+            state.place(payload, labeler.label_batch(payload[0]).labels)
 
-    # ------------------------------------------------------------------ #
     def _finalize(
         self,
-        n_points: int,
         labels: np.ndarray,
-        n_base_clusters: int,
         sample_indices: list[int],
         rock_result: RockResult,
-        labeling_result: LabelingResult | None,
+        labeling: LabelingResult | None,
         labeled_indices: list[int] | None,
         timings: dict,
         total_start: float,
         extra_parameters: dict | None = None,
     ) -> RockPipelineResult:
-        """Re-number clusters by decreasing size and assemble the result.
+        """Finalize phase: renumber by decreasing size, assemble the result.
 
-        ``labels`` arrive in the pre-sort label space (indices into the kept
-        clusters); the final space orders clusters by decreasing size.  The
-        labelling result is remapped through the same permutation so its
-        labels agree 1:1 with the final ``labels`` array.
+        ``labels`` arrive in the pre-finalize label space — kept-cluster ids,
+        offset per labelling space after online refreshes, where some ids
+        may be unused — and the clusters are renumbered by decreasing size
+        (ties: first member), fully vectorised since this walks the whole
+        input.  ``labeling`` is remapped through the same permutation, and
+        its ``neighbor_counts`` columns are permuted when it has rows.  Every
+        kept cluster holds sample members, so some point is always placed.
         """
-        final_clusters: list[list[int]] = [[] for _ in range(n_base_clusters)]
-        for index, label in enumerate(labels):
-            if label >= 0:
-                final_clusters[label].append(index)
-        # Every base cluster holds at least its own sample members, so none
-        # of the lists is empty and the sort is a permutation.
-        order = sorted(
-            range(n_base_clusters),
-            key=lambda label: (-len(final_clusters[label]), final_clusters[label][0]),
-        )
-        ordered = [tuple(final_clusters[label]) for label in order]
-        permutation = np.empty(n_base_clusters, dtype=int)
-        permutation[np.array(order, dtype=int)] = np.arange(n_base_clusters)
-
+        n_points = labels.size
+        placed = np.flatnonzero(labels >= 0)
+        present, inverse = np.unique(labels[placed], return_inverse=True)
+        sizes = np.bincount(inverse)
+        first_member = np.full(present.size, n_points, dtype=np.int64)
+        np.minimum.at(first_member, inverse, placed)
+        order = np.lexsort((first_member, -sizes))
+        # Lookup array over pre-finalize label ids -> final labels.
+        new_label_of = np.full(int(present[-1]) + 1, -1)
+        new_label_of[present[order]] = np.arange(present.size)
         final_labels = np.full(n_points, -1, dtype=int)
-        for label, members in enumerate(ordered):
-            final_labels[list(members)] = label
+        final_labels[placed] = new_label_of[labels[placed]]
+        by_label = placed[np.argsort(final_labels[placed], kind="stable")]
+        clusters = [
+            tuple(members.tolist())
+            for members in np.split(by_label, np.cumsum(sizes[order])[:-1])
+        ]
 
-        if labeling_result is not None:
-            remapped = labeling_result.labels.copy()
-            placed = remapped >= 0
-            remapped[placed] = permutation[remapped[placed]]
-            labeling_result = LabelingResult(
+        if labeling is not None:
+            remapped = labeling.labels.copy()
+            hit = remapped >= 0
+            remapped[hit] = new_label_of[remapped[hit]]
+            counts = labeling.neighbor_counts
+            labeling = LabelingResult(
                 labels=remapped,
-                neighbor_counts=labeling_result.neighbor_counts[:, order],
-                n_outliers=labeling_result.n_outliers,
+                neighbor_counts=(
+                    counts[:, present[order]]
+                    if counts.shape[0]
+                    else np.zeros((0, present.size), dtype=float)
+                ),
+                n_outliers=int(np.sum(remapped == -1)),
             )
 
         timings["total"] = time.perf_counter() - total_start
-        parameters = {
-            "n_clusters": self.n_clusters,
-            "theta": self.theta,
-            "sample_size": self.sample_size,
-            "min_neighbors": self.min_neighbors,
-            "min_cluster_size": self.min_cluster_size,
-            "labeling_fraction": self.labeling_fraction,
-            "assign_outliers": self.assign_outliers,
-            "engine": self.engine,
-            "merge_counters": dict(rock_result.merge_counters),
+        parameters: dict[str, object] = {
+            name: getattr(self.params, name) for name in _REPORTED_PARAMETERS
         }
-        if extra_parameters:
-            parameters.update(extra_parameters)
+        parameters["merge_counters"] = dict(rock_result.merge_counters)
+        parameters.update(extra_parameters or {})
         return RockPipelineResult(
             labels=final_labels,
-            clusters=list(ordered),
+            clusters=clusters,
             sample_indices=list(sample_indices),
             rock_result=rock_result,
-            labeling_result=labeling_result,
+            labeling_result=labeling,
             labeled_indices=labeled_indices,
             n_outliers=int(np.sum(final_labels == -1)),
             timings=timings,
             parameters=parameters,
         )
 
-    # ------------------------------------------------------------------ #
-    def _label_out_of_core(
-        self,
-        batches,
-        sample_set: set,
-        retained_sample: list,
-        kept_clusters: list,
-        item_index: dict,
-        transaction_of_sample_index: dict,
-        sample_pending: list,
-        labels: np.ndarray,
-        has_remainder: bool,
-    ) -> tuple[LabelingResult | None, list[int] | None]:
-        """Shared phase-5 of the out-of-core entry points.
-
-        Labels everything outside the clustered sample through one
-        :class:`StreamingLabeler`: the disk-resident remainder batch by
-        batch (stream positions in ``sample_set`` are skipped), then the
-        sampled-but-unclustered points in ``sample_pending`` (isolated or
-        pruned, looked up in ``transaction_of_sample_index``).  ``labels``
-        is filled in place at the labelled positions.
-
-        Only the integer labels are retained across batches: keeping every
-        batch's dense neighbour-count matrix would grow
-        ``O(n_points * n_clusters)`` and break the bounded-memory contract,
-        so the returned :class:`LabelingResult` carries an empty counts
-        matrix.
-
-        Returns
-        -------
-        (labeling_result, labeled_indices)
-            Both ``None`` when there was nothing to label.
-        """
-        if not (has_remainder or sample_pending):
-            return None, None
-        labeler = StreamingLabeler(
-            retained_sample,
-            kept_clusters,
-            theta=self.theta,
-            measure=self.measure,
-            exponent_function=self.exponent_function,
-            labeling_fraction=self.labeling_fraction,
-            rng=self.rng,
-            strategy=self.labeling_strategy,
-            item_index=item_index,
-            assign_outliers=self.assign_outliers,
+    def _finalize_stream(
+        self, state: _StreamState, timings: dict, total_start: float, extra: dict
+    ) -> RockPipelineResult:
+        labeling = state.labeling()
+        return self._finalize(
+            state.labels,
+            state.sample_indices,
+            state.rock_result,
+            labeling,
+            list(state.labeled_indices) if labeling is not None else None,
+            timings,
+            total_start,
+            extra,
         )
-        label_chunks: list[np.ndarray] = []
-        labeled_indices: list[int] = []
-        if has_remainder:
-            for pending_batch, pending_positions in _pending_batches(
-                batches, sample_set
-            ):
-                result = labeler.label_batch(pending_batch)
-                labels[pending_positions] = result.labels
-                labeled_indices.extend(pending_positions)
-                label_chunks.append(result.labels)
-        if sample_pending:
-            result = labeler.label_batch(
-                [transaction_of_sample_index[i] for i in sample_pending]
-            )
-            labels[sample_pending] = result.labels
-            labeled_indices.extend(sample_pending)
-            label_chunks.append(result.labels)
-        labeling_result = LabelingResult(
-            labels=np.concatenate(label_chunks),
-            neighbor_counts=np.zeros((0, len(kept_clusters)), dtype=float),
-            n_outliers=labeler.n_outliers,
-        )
-        return labeling_result, labeled_indices
-
-    # ------------------------------------------------------------------ #
-    def _draw_streaming_sample(
-        self, batches, known_length: int | None, sample_method: str, timings: dict
-    ) -> tuple[int, list[int], list[frozenset]]:
-        """Phase 1 of the out-of-core entry points: draw the sample.
-
-        Counts the source (unless its length is known), draws the sample
-        indices exactly as :meth:`run` does (or via single-pass reservoir
-        sampling for ``sample_method="reservoir"``) and collects the
-        sampled transactions in one pass.  Returns ``(n_points,
-        sample_indices, sample)`` and records the ``"sampling"`` timing.
-        Raises :class:`DataValidationError` on an empty source.
-        """
-        phase_start = time.perf_counter()
-        if sample_method == "reservoir" and self.sample_size is not None:
-            sample_indices, sample, n_points = reservoir_sample(
-                itertools.chain.from_iterable(batches()),
-                self.sample_size,
-                rng=self.rng,
-            )
-        else:
-            if known_length is not None:
-                n_points = known_length
-            else:
-                n_points = sum(len(batch) for batch in batches())
-            if n_points and (self.sample_size is None or self.sample_size >= n_points):
-                sample_indices = list(range(n_points))
-            elif n_points:
-                sample_indices, _ = draw_sample(
-                    range(n_points), self.sample_size, rng=self.rng
-                )
-            else:
-                sample_indices = []
-            wanted = set(sample_indices)
-            sample = []
-            position = 0
-            for batch in batches():
-                for transaction in batch:
-                    if position in wanted:
-                        sample.append(frozenset(transaction))
-                    position += 1
-        if not n_points:
-            raise DataValidationError("cannot cluster an empty streaming source")
-        timings["sampling"] = time.perf_counter() - phase_start
-        return n_points, sample_indices, sample
 
     # ------------------------------------------------------------------ #
     def run(self, data: Any) -> RockPipelineResult:
@@ -761,76 +905,38 @@ class RockPipeline:
         # One item index for the whole run; every vectorised phase shares it.
         item_index = build_item_index(transactions)
 
-        # ---- Phase 1: sampling -------------------------------------- #
         phase_start = time.perf_counter()
-        if self.sample_size is None or self.sample_size >= n_points:
-            sample_indices = list(range(n_points))
-            remainder_indices: list[int] = []
+        if self.params.samples_everything(n_points):
+            sample_indices, remainder = list(range(n_points)), []
         else:
-            sample_indices, remainder_indices = draw_sample(
-                transactions, self.sample_size, rng=self.rng
+            sample_indices, remainder = draw_sample(
+                transactions, self.params.sample_size, rng=self.rng
             )
         sample = [transactions[i] for i in sample_indices]
         timings["sampling"] = time.perf_counter() - phase_start
 
-        # ---- Phases 2-4: pre-filter, agglomeration, pruning ---------- #
-        (
-            clustered_sample,
-            participating,
-            isolated,
-            rock_result,
-            kept_clusters,
-            pruned_points,
-        ) = self._cluster_sample(sample, item_index, timings)
+        clustered = self._cluster_one_sample(sample, sample_indices, item_index, timings)
 
-        # ---- Phase 5: labelling -------------------------------------- #
         phase_start = time.perf_counter()
-        # Points needing labels: the non-sampled remainder, the isolated
-        # points set aside in phase 2 and the members of pruned clusters.
-        # Clustered-sample indices refer to `clustered_sample`; map back to
-        # positions in the full data set.
-        sample_position_of = {j: sample_indices[i] for j, i in enumerate(participating)}
-        cluster_members_full = [
-            tuple(sorted(sample_position_of[j] for j in members))
-            for members in kept_clusters
-        ]
-
-        pending_full_indices: list[int] = []
-        pending_full_indices.extend(remainder_indices)
-        pending_full_indices.extend(sample_indices[i] for i in isolated)
-        pending_full_indices.extend(sample_position_of[j] for j in pruned_points)
-        pending_full_indices = sorted(set(pending_full_indices))
-
-        labeling_result: LabelingResult | None = None
-        labels = np.full(n_points, -1, dtype=int)
-        for label, members in enumerate(cluster_members_full):
-            labels[list(members)] = label
-
-        if pending_full_indices:
-            labeling_result = label_points(
-                [transactions[i] for i in pending_full_indices],
-                clustered_sample,
-                kept_clusters,
-                theta=self.theta,
-                measure=self.measure,
-                exponent_function=self.exponent_function,
-                labeling_fraction=self.labeling_fraction,
-                rng=self.rng,
-                strategy=self.labeling_strategy,
-                item_index=item_index,
-                assign_outliers=self.assign_outliers,
+        labels = clustered.labels(n_points)
+        pending = sorted(set(remainder).union(clustered.pending))
+        labeling = None
+        if pending:
+            labeling = label_points(
+                [transactions[i] for i in pending],
+                clustered.retained,
+                clustered.clusters,
+                **self._labeling_kwargs(item_index),
             )
-            labels[pending_full_indices] = labeling_result.labels
+            labels[pending] = labeling.labels
         timings["labeling"] = time.perf_counter() - phase_start
 
         return self._finalize(
-            n_points,
             labels,
-            len(cluster_members_full),
             sample_indices,
-            rock_result,
-            labeling_result,
-            pending_full_indices if labeling_result is not None else None,
+            clustered.rock_result,
+            labeling,
+            pending if labeling is not None else None,
             timings,
             total_start,
         )
@@ -889,83 +995,28 @@ class RockPipeline:
             empty so result memory stays O(n) integers rather than
             O(n * n_clusters) floats.
         """
-        if sample_method not in STREAMING_SAMPLE_METHODS:
-            raise ConfigurationError(
-                "unknown sample_method %r; expected one of %s"
-                % (sample_method, ", ".join(STREAMING_SAMPLE_METHODS))
-            )
+        _check_sample_method(sample_method)
         total_start = time.perf_counter()
         timings: dict[str, float] = {}
         batches, known_length = _transaction_batches(
             source, batch_size, delimiter=delimiter, label_prefix=label_prefix
         )
-
-        # ---- Phase 1: sampling pass(es) over the source -------------- #
-        n_points, sample_indices, sample = self._draw_streaming_sample(
-            batches, known_length, sample_method, timings
+        state, clustered = self._stream_and_cluster(
+            batches, known_length, sample_method, batch_size, timings
         )
-        sample_set = set(sample_indices)
-
-        # ---- Phases 2-4 on the in-memory sample ---------------------- #
-        # The item index covers the sample only: remainder items outside it
-        # cannot intersect any retained point, so labels are unaffected.
-        item_index = build_item_index(sample)
-        (
-            clustered_sample,
-            participating,
-            isolated,
-            rock_result,
-            kept_clusters,
-            pruned_points,
-        ) = self._cluster_sample(sample, item_index, timings)
-
-        sample_position_of = {j: sample_indices[i] for j, i in enumerate(participating)}
-        cluster_members_full = [
-            tuple(sorted(sample_position_of[j] for j in members))
-            for members in kept_clusters
-        ]
-        labels = np.full(n_points, -1, dtype=int)
-        for label, members in enumerate(cluster_members_full):
-            labels[list(members)] = label
-
-        # ---- Phase 5: batched labelling pass ------------------------- #
         phase_start = time.perf_counter()
-        transaction_of_sample_index = dict(zip(sample_indices, sample))
-        sample_pending = _pending_sample_positions(
-            sample_indices, sample_position_of, isolated, pruned_points
-        )
-        has_remainder = n_points > len(sample_indices)
-
-        labeling_result, labeled_indices = self._label_out_of_core(
-            batches,
-            sample_set,
-            clustered_sample,
-            kept_clusters,
-            item_index,
-            transaction_of_sample_index,
-            sample_pending,
-            labels,
-            has_remainder,
-        )
+        self._label_streamed(state, clustered, batches)
         timings["labeling"] = time.perf_counter() - phase_start
-
-        return self._finalize(
-            n_points,
-            labels,
-            len(cluster_members_full),
-            sample_indices,
-            rock_result,
-            labeling_result,
-            labeled_indices,
+        return self._finalize_stream(
+            state,
             timings,
             total_start,
-            extra_parameters={
+            {
                 "streaming": True,
                 "batch_size": int(batch_size),
                 "sample_method": sample_method,
             },
         )
-
 
     # ------------------------------------------------------------------ #
     @property
@@ -1002,6 +1053,20 @@ class RockPipeline:
                 "ingest(batch)"
             )
         return self._online_session.ingest(batch)
+
+    def online_expected_config(self, refresh_threshold: float | None = None) -> dict:
+        """The session config a checkpoint must match to be resumed here.
+
+        Public because the serving front end (``repro serve --resume``)
+        guards its own :meth:`~repro.serve.server.ReproServer.resume` with
+        the same config the pipeline would enforce — resuming a served
+        session under different parameters would silently break the
+        served ≡ ``run_online`` contract.  It is the
+        :meth:`~repro.core.incremental.IncrementalRock.config_dict` of the
+        session :meth:`run_online` would build, so it matches what every
+        checkpoint records by construction.
+        """
+        return self._new_session(refresh_threshold).config_dict()
 
     # ------------------------------------------------------------------ #
     def run_online(
@@ -1069,11 +1134,7 @@ class RockPipeline:
             sample; ``labeling_result`` keeps only the per-point labels
             (empty ``neighbor_counts``), like :meth:`run_streaming`.
         """
-        if sample_method not in STREAMING_SAMPLE_METHODS:
-            raise ConfigurationError(
-                "unknown sample_method %r; expected one of %s"
-                % (sample_method, ", ".join(STREAMING_SAMPLE_METHODS))
-            )
+        _check_sample_method(sample_method)
         refresh_threshold = validate_refresh_threshold(refresh_threshold)
         if snapshot_dir is None and snapshot_every is not None:
             raise ConfigurationError(
@@ -1085,318 +1146,85 @@ class RockPipeline:
                 "resume=True requires snapshot_dir (there is nothing to "
                 "resume from)"
             )
-        if resume and PersistentSession.can_resume(snapshot_dir):
-            return self._resume_online(
-                source,
-                batch_size,
-                refresh_threshold,
-                sample_method,
-                delimiter,
-                label_prefix,
-                snapshot_dir,
-                snapshot_every,
-            )
         total_start = time.perf_counter()
         timings: dict[str, float] = {}
         batches, known_length = _transaction_batches(
             source, batch_size, delimiter=delimiter, label_prefix=label_prefix
         )
-
-        # ---- Phase 1: sampling pass(es) over the source -------------- #
-        n_points, sample_indices, sample = self._draw_streaming_sample(
-            batches, known_length, sample_method, timings
-        )
-        sample_set = set(sample_indices)
-
-        # ---- Phases 2-4 on the in-memory sample ---------------------- #
-        item_index = build_item_index(sample)
-        (
-            clustered_sample,
-            participating,
-            isolated,
-            rock_result,
-            kept_clusters,
-            pruned_points,
-        ) = self._cluster_sample(sample, item_index, timings)
-
-        sample_position_of = {j: sample_indices[i] for j, i in enumerate(participating)}
-        cluster_members_full = [
-            tuple(sorted(sample_position_of[j] for j in members))
-            for members in kept_clusters
-        ]
-        labels = np.full(n_points, -1, dtype=int)
-        for label, members in enumerate(cluster_members_full):
-            labels[list(members)] = label
-
-        # ---- Phase 5: bootstrap the live session, ingest the rest ---- #
-        phase_start = time.perf_counter()
-        session = IncrementalRock(
-            n_clusters=self.n_clusters,
-            theta=self.theta,
-            measure=self.measure,
-            exponent_function=self.exponent_function,
-            labeling_fraction=self.labeling_fraction,
-            labeling_strategy=self.labeling_strategy,
-            assign_outliers=self.assign_outliers,
-            neighbor_strategy=self.neighbor_strategy,
-            neighbor_block_size=self.neighbor_block_size,
-            link_strategy=self.link_strategy,
-            include_self_links=self.include_self_links,
-            refresh_threshold=refresh_threshold,
-            engine=self.engine,
-            rng=self.rng,
-        )
-        session.bootstrap(clustered_sample, kept_clusters, item_index=item_index)
-        self._online_session = session
-
-        transaction_of_sample_index = dict(zip(sample_indices, sample))
-        sample_pending = _pending_sample_positions(
-            sample_indices, sample_position_of, isolated, pruned_points
-        )
-        state = _OnlineIngestState(
-            n_points=n_points,
-            labels=labels,
-            space_sizes=[len(kept_clusters)],
-            sample_indices=sample_indices,
-            sample_pending=sample_pending,
-            sample_pending_transactions=[
-                transaction_of_sample_index[i] for i in sample_pending
-            ],
-            has_remainder=n_points > len(sample_indices),
-            rock_result=rock_result,
-            batch_size=int(batch_size),
-            sample_method=sample_method,
-        )
-        store = None
-        if snapshot_dir is not None:
-            store = PersistentSession.create(
+        if resume and PersistentSession.can_resume(snapshot_dir):
+            # Recovery: restore the last durable checkpoint (session + label
+            # bookkeeping) and replay the WAL tail — no re-sampling, no
+            # re-clustering, no generator divergence.
+            store = PersistentSession.resume(
                 snapshot_dir,
-                session,
                 snapshot_every=snapshot_every,
-                extra=state.to_extra(),
+                measure=self.params.measure,
+                exponent_function=self.params.exponent_function,
+                expected_config=self.online_expected_config(refresh_threshold),
+                defer_replay=True,
             )
-        self._online_store = store
-
-        self._online_ingest_loop(session, store, state, batches)
-        timings["labeling"] = time.perf_counter() - phase_start
-
-        return self._finalize_online(
-            state, session, refresh_threshold, timings, total_start
-        )
-
-    # ------------------------------------------------------------------ #
-    def _resume_online(
-        self,
-        source,
-        batch_size: int,
-        refresh_threshold: float | None,
-        sample_method: str,
-        delimiter: str | None,
-        label_prefix: str | None,
-        snapshot_dir,
-        snapshot_every: int | None,
-    ) -> RockPipelineResult:
-        """Continue an interrupted :meth:`run_online` from its snapshots.
-
-        Recovery = restore the last durable checkpoint (session + label
-        bookkeeping), replay the WAL tail through the same bookkeeping, and
-        push only the still-pending batches of ``source`` — no re-sampling,
-        no re-clustering, no RNG divergence.
-        """
-        total_start = time.perf_counter()
-        timings: dict[str, float] = {}
-        batches, _known_length = _transaction_batches(
-            source, batch_size, delimiter=delimiter, label_prefix=label_prefix
-        )
-        store = PersistentSession.resume(
-            snapshot_dir,
-            snapshot_every=snapshot_every,
-            measure=self.measure,
-            exponent_function=self.exponent_function,
-            expected_config=self.online_expected_config(refresh_threshold),
-            defer_replay=True,
-        )
-        session = store.session
-        state = _OnlineIngestState.from_extra(store.extra)
-        if state.batch_size != int(batch_size) or state.sample_method != sample_method:
-            raise SnapshotConfigMismatchError(
-                "checkpoint in %s was written with batch_size=%d, "
-                "sample_method=%r but the resume requested batch_size=%d, "
-                "sample_method=%r — the stream split must match for the "
-                "resumed labels to stay identical"
-                % (
-                    snapshot_dir,
-                    state.batch_size,
-                    state.sample_method,
-                    int(batch_size),
-                    sample_method,
+            session = store.session
+            state = _StreamState.from_extra(store.extra)
+            if state.batch_size != int(batch_size) or state.sample_method != sample_method:
+                raise SnapshotConfigMismatchError(
+                    "checkpoint in %s was written with batch_size=%d, "
+                    "sample_method=%r but the resume requested batch_size=%d, "
+                    "sample_method=%r — the stream split must match for the "
+                    "resumed labels to stay identical"
+                    % (
+                        snapshot_dir,
+                        state.batch_size,
+                        state.sample_method,
+                        int(batch_size),
+                        sample_method,
+                    )
                 )
+            phase_start = time.perf_counter()
+            store.replay_pending(lambda payload: state.apply(session, payload))
+        else:
+            state, clustered = self._stream_and_cluster(
+                batches, known_length, sample_method, batch_size, timings
             )
-        phase_start = time.perf_counter()
-        store.replay_pending(lambda payload: state.apply(session, payload))
+            phase_start = time.perf_counter()
+            session = self._new_session(refresh_threshold, rng=self.rng)
+            session.bootstrap(
+                clustered.retained, clustered.clusters, item_index=clustered.item_index
+            )
+            store = None
+            if snapshot_dir is not None:
+                store = PersistentSession.create(
+                    snapshot_dir,
+                    session,
+                    snapshot_every=snapshot_every,
+                    extra=state.to_extra(),
+                )
         self._online_session = session
         self._online_store = store
 
-        self._online_ingest_loop(session, store, state, batches)
-        timings["labeling"] = time.perf_counter() - phase_start
-        return self._finalize_online(
-            state, session, refresh_threshold, timings, total_start
-        )
-
-    def online_expected_config(self, refresh_threshold: float | None = None) -> dict:
-        """The session config a checkpoint must match to be resumed here.
-
-        Public because the serving front end (``repro serve --resume``)
-        guards its own :meth:`~repro.serve.server.ReproServer.resume` with
-        the same config the pipeline would enforce — resuming a served
-        session under different parameters would silently break the
-        served ≡ ``run_online`` contract.
-        """
-        measure = self.measure if self.measure is not None else JaccardSimilarity()
-        return {
-            "n_clusters": self.n_clusters,
-            "theta": self.theta,
-            "measure": getattr(measure, "name", type(measure).__name__),
-            "labeling_fraction": self.labeling_fraction,
-            "labeling_strategy": self.labeling_strategy,
-            "assign_outliers": self.assign_outliers,
-            "neighbor_strategy": self.neighbor_strategy,
-            "neighbor_block_size": self.neighbor_block_size,
-            "link_strategy": self.link_strategy,
-            "include_self_links": self.include_self_links,
-            "refresh_threshold": refresh_threshold,
-            "engine": self.engine,
-        }
-
-    def _online_ingest_loop(self, session, store, state, batches) -> None:
-        """Drive every still-pending batch through the live session.
-
-        Shared by the fresh and resumed paths: the progress counters in
-        ``state`` say which pending batches a restored checkpoint already
-        absorbed; each remaining payload is WAL-logged *before* the splice
-        and a checkpoint is written every ``snapshot_every`` applied batches
-        plus once at the end of the loop.
-        """
-
-        def ingest_payload(payload):
+        # Each payload is WAL-logged before the splice; a checkpoint is
+        # written every ``snapshot_every`` applied batches and at the end.
+        for payload in state.payloads(batches):
             if store is not None:
                 store.log(payload)
             state.apply(session, payload)
             if store is not None:
                 store.batch_applied(state.to_extra)
-
-        if state.has_remainder:
-            sample_set = set(state.sample_indices)
-            skip = state.remainder_done
-            for index, (pending_batch, pending_positions) in enumerate(
-                _pending_batches(batches, sample_set)
-            ):
-                if index < skip:
-                    continue
-                ingest_payload(
-                    (pending_batch, pending_positions, state.KIND_REMAINDER)
-                )
-        if state.sample_pending and not state.sample_pending_done:
-            ingest_payload(
-                (
-                    state.sample_pending_transactions,
-                    state.sample_pending,
-                    state.KIND_SAMPLE,
-                )
-            )
         if store is not None:
             store.close(extra=state.to_extra())
+        timings["labeling"] = time.perf_counter() - phase_start
 
-    def _finalize_online(
-        self,
-        state: _OnlineIngestState,
-        session: IncrementalRock,
-        refresh_threshold: float | None,
-        timings: dict,
-        total_start: float,
-    ) -> RockPipelineResult:
-        """Assemble the result of an online run from its ingest state."""
-        labels = state.labels
-        n_points = state.n_points
-        if state.label_chunks:
-            labeling_labels = np.concatenate(state.label_chunks)
-            labeled_indices = list(state.labeled_indices)
-        else:
-            labeling_labels, labeled_indices = None, None
-
-        # ---- Final assembly across labelling spaces ------------------ #
-        # The ordinary _finalize assumes one label space with no empty
-        # clusters; refreshed runs can leave globally-unused labels (a
-        # refreshed cluster no batch point landed in), so group and
-        # renumber by decreasing size (ties: first member) here — fully
-        # vectorised, since this walks the whole out-of-core stream.
-        placed_positions = np.nonzero(labels >= 0)[0]
-        present, inverse = np.unique(labels[placed_positions], return_inverse=True)
-        group_sizes = np.bincount(inverse)
-        first_member = np.full(present.size, n_points, dtype=np.int64)
-        np.minimum.at(first_member, inverse, placed_positions)
-        order = sorted(
-            range(present.size),
-            key=lambda group: (-int(group_sizes[group]), int(first_member[group])),
-        )
-        # Lookup array over old (global-space) label ids -> final labels.
-        new_label_of = np.full(int(present[-1]) + 1 if present.size else 1, -1)
-        new_label_of[present[order]] = np.arange(present.size)
-        final_labels = np.full(n_points, -1, dtype=int)
-        final_labels[placed_positions] = new_label_of[labels[placed_positions]]
-
-        if placed_positions.size:
-            final_of_placed = new_label_of[labels[placed_positions]]
-            by_final_label = placed_positions[
-                np.argsort(final_of_placed, kind="stable")
-            ]
-            boundaries = np.cumsum(np.bincount(final_of_placed))[:-1]
-            clusters = [
-                tuple(members.tolist())
-                for members in np.split(by_final_label, boundaries)
-            ]
-        else:  # pragma: no cover - kept clusters always hold sample members
-            clusters = []
-
-        labeling_result = None
-        if labeling_labels is not None:
-            remapped = labeling_labels.copy()
-            placed = remapped >= 0
-            remapped[placed] = new_label_of[labeling_labels[placed]]
-            labeling_result = LabelingResult(
-                labels=remapped,
-                neighbor_counts=np.zeros((0, len(clusters)), dtype=float),
-                n_outliers=int(np.sum(remapped == -1)),
-            )
-
-        timings["total"] = time.perf_counter() - total_start
-        parameters = {
-            "n_clusters": self.n_clusters,
-            "theta": self.theta,
-            "sample_size": self.sample_size,
-            "min_neighbors": self.min_neighbors,
-            "min_cluster_size": self.min_cluster_size,
-            "labeling_fraction": self.labeling_fraction,
-            "assign_outliers": self.assign_outliers,
-            "engine": self.engine,
-            "merge_counters": dict(state.rock_result.merge_counters),
-            "online": True,
-            "batch_size": state.batch_size,
-            "sample_method": state.sample_method,
-            "refresh_threshold": refresh_threshold,
-            "n_refreshes": session.n_refreshes,
-            "refresh_merge_counters": dict(session.last_refresh_counters),
-        }
-        return RockPipelineResult(
-            labels=final_labels,
-            clusters=clusters,
-            sample_indices=list(state.sample_indices),
-            rock_result=state.rock_result,
-            labeling_result=labeling_result,
-            labeled_indices=labeled_indices,
-            n_outliers=int(np.sum(final_labels == -1)),
-            timings=timings,
-            parameters=parameters,
+        return self._finalize_stream(
+            state,
+            timings,
+            total_start,
+            {
+                "online": True,
+                "batch_size": state.batch_size,
+                "sample_method": state.sample_method,
+                "refresh_threshold": refresh_threshold,
+                "n_refreshes": session.n_refreshes,
+                "refresh_merge_counters": dict(session.last_refresh_counters),
+            },
         )
 
     # ------------------------------------------------------------------ #
@@ -1440,8 +1268,8 @@ class RockPipeline:
             collection); it is iterated several times (counting, sampling
             and labelling passes).
         n_shards:
-            Number of clustering shards.  ``1`` takes the streaming code
-            path unchanged, so the labels are bit-identical to
+            Number of clustering shards.  ``1`` runs the streaming sample
+            and cluster phases, so the labels are bit-identical to
             :meth:`run_streaming` on the same data and seed.
         batch_size:
             Transactions per labelling batch (see :meth:`run_streaming`).
@@ -1486,9 +1314,11 @@ class RockPipeline:
         -------
         RockPipelineResult
             The shared result shape, with ``parameters["sharded"]`` set and
-            ``timings`` extended by ``"shard_clustering"`` and ``"merge"``
-            (multi-shard runs only).  ``rock_result`` describes the merged
-            clustering over the pooled shard samples; its ``criterion`` is
+            the same parameter keys for every shard count (one shard
+            reports ``merge_levels=0`` and no skipped shards).  Multi-shard
+            runs extend ``timings`` by ``"shard_clustering"`` and
+            ``"merge"``; their ``rock_result`` describes the merged
+            clustering over the pooled shard samples, with a ``criterion``
             evaluated on the summary representatives, not the full pooled
             link matrix.
 
@@ -1496,7 +1326,9 @@ class RockPipeline:
         ------
         ConfigurationError
             For a non-positive ``n_shards``/``shard_workers``, an unknown
-            ``shard_strategy``, or invalid streaming options.
+            ``shard_strategy``/``shard_executor``, invalid summary-merge
+            options (checked before any pass over the source) or invalid
+            streaming options.
         DataValidationError
             When the source is empty.
         InsufficientLinksError
@@ -1513,125 +1345,140 @@ class RockPipeline:
                 "unknown shard strategy %r; expected one of %s"
                 % (shard_strategy, ", ".join(SHARD_STRATEGIES))
             )
-        worker_config = ShardWorkerConfig.from_pipeline(self)
+        validate_merge_options(merge_fan_in, representatives_per_cluster)
         # Resolved here (not just in cluster_shards) so an unknown name
         # fails fast on every path and the resolved choice is reportable.
-        resolved_executor = resolve_shard_executor(
-            shard_executor, shard_workers, worker_config
-        )
+        executor = resolve_shard_executor(shard_executor, shard_workers, self.params)
         if shard_retries < 0:
             raise ConfigurationError(
                 "shard_retries must be non-negative, got %r" % shard_retries
             )
-        if n_shards == 1:
-            # One shard degenerates to the streaming pipeline; reusing that
-            # code path verbatim is what makes the 1-shard determinism
-            # contract (bit-identical labels) hold by construction.
-            result = self.run_streaming(
-                source,
-                batch_size=batch_size,
-                delimiter=delimiter,
-                label_prefix=label_prefix,
-            )
-            result.parameters.update(
-                {
-                    "sharded": True,
-                    "n_shards": 1,
-                    "shard_strategy": shard_strategy,
-                    "shard_workers": shard_workers,
-                    "shard_executor": resolved_executor,
-                    "shard_retries": int(shard_retries),
-                    "merge_fan_in": merge_fan_in,
-                }
-            )
-            return result
-
         total_start = time.perf_counter()
         timings: dict[str, float] = {}
         batches, known_length = _transaction_batches(
             source, batch_size, delimiter=delimiter, label_prefix=label_prefix
         )
+        if n_shards == 1:
+            state, clustered = self._stream_and_cluster(
+                batches, known_length, "exact", batch_size, timings
+            )
+            merge_levels, skipped_shards = 0, []
+        else:
+            n_points, shard_samples, merge_rng = self._shard_sample(
+                batches, known_length, n_shards, shard_strategy, timings
+            )
+            clustered, merge_levels, skipped_shards = self._cluster_shards(
+                shard_samples,
+                merge_rng,
+                shard_workers,
+                shard_retries,
+                executor,
+                merge_fan_in,
+                representatives_per_cluster,
+                timings,
+            )
+            state = _StreamState.start(
+                n_points,
+                sorted(p for _, positions in shard_samples for p in positions),
+                {
+                    position: transaction
+                    for sample, positions in shard_samples
+                    for position, transaction in zip(positions, sample)
+                },
+                clustered,
+                batch_size,
+                None,
+            )
+        phase_start = time.perf_counter()
+        self._label_streamed(state, clustered, batches)
+        timings["labeling"] = time.perf_counter() - phase_start
+        return self._finalize_stream(
+            state,
+            timings,
+            total_start,
+            {
+                "sharded": True,
+                "n_shards": n_shards,
+                "shard_strategy": shard_strategy,
+                "shard_workers": shard_workers,
+                "shard_executor": executor,
+                "shard_retries": int(shard_retries),
+                "merge_fan_in": merge_fan_in,
+                "merge_levels": merge_levels,
+                "batch_size": int(batch_size),
+                "representatives_per_cluster": (
+                    representatives_per_cluster
+                    if isinstance(representatives_per_cluster, str)
+                    else int(representatives_per_cluster)
+                ),
+                "skipped_shards": skipped_shards,
+            },
+        )
 
-        # ---- Phase 1: plan shards and draw every shard's sample ------ #
+    def _shard_sample(
+        self, batches, known_length, n_shards: int, shard_strategy: str, timings
+    ) -> tuple[int, list, np.random.Generator]:
+        """Sample phase, shard-allocated variant: plan, allocate, draw.
+
+        Returns ``(n_points, shard_samples, merge_rng)``.  One seed per
+        shard plus one for the representative selection are drawn from the
+        pipeline generator in a fixed order, so the same pipeline seed
+        reproduces the same run regardless of worker count or completion
+        order.
+        """
         phase_start = time.perf_counter()
         if shard_strategy == HASH_SHARD_STRATEGY:
             plan = ShardPlan(n_shards, shard_strategy)
             shard_sizes, n_points = count_shard_sizes(batches, plan)
-            if not n_points:
-                raise DataValidationError(
-                    "cannot cluster an empty streaming source"
-                )
+            _require_points(n_points)
         else:
-            if known_length is not None:
-                n_points = known_length
-            else:
-                n_points = sum(len(batch) for batch in batches())
-            if not n_points:
-                raise DataValidationError(
-                    "cannot cluster an empty streaming source"
-                )
+            n_points = _stream_length(batches, known_length)
             plan = ShardPlan(n_shards, shard_strategy, n_points=n_points)
             shard_sizes = plan.positional_shard_sizes()
-
-        if self.sample_size is None or self.sample_size >= n_points:
+        if self.params.samples_everything(n_points):
             sample_sizes = list(shard_sizes)
         else:
-            sample_sizes = allocate_sample_sizes(shard_sizes, self.sample_size)
-
-        # One seed per shard plus one for the representative selection,
-        # all drawn from the pipeline generator in a fixed order: the same
-        # pipeline seed reproduces the same multi-shard run regardless of
-        # worker count or completion order.
+            sample_sizes = allocate_sample_sizes(shard_sizes, self.params.sample_size)
         seeds = self.rng.integers(0, 2**63 - 1, size=n_shards + 1)
         shard_rngs = [np.random.default_rng(int(seed)) for seed in seeds[:-1]]
-        merge_rng = np.random.default_rng(int(seeds[-1]))
-
         shard_samples = build_shard_samples(
             batches, plan, shard_sizes, sample_sizes, shard_rngs
         )
-        sample_indices = sorted(
-            position for _, positions in shard_samples for position in positions
-        )
-        sample_set = set(sample_indices)
-        transaction_of_sample_index = {
-            position: transaction
-            for sample, positions in shard_samples
-            for position, transaction in zip(positions, sample)
-        }
         timings["sampling"] = time.perf_counter() - phase_start
+        return n_points, shard_samples, np.random.default_rng(int(seeds[-1]))
 
-        # ---- Phases 2-4 per shard, then the summary merge ------------ #
+    def _cluster_shards(
+        self,
+        shard_samples,
+        merge_rng,
+        shard_workers,
+        shard_retries,
+        executor,
+        merge_fan_in,
+        representatives_per_cluster,
+        timings,
+    ) -> tuple[_Clustered, int, list[int]]:
+        """Cluster phase, sharded variant: every shard, then the summary merge.
+
+        Returns the pooled :class:`_Clustered`, the number of merge levels
+        and the skipped shard ids.
+        """
+        params = self.params
         phase_start = time.perf_counter()
 
         def cluster_one(shard_id, sample, positions) -> ShardClusterResult:
-            shard_timings: dict[str, float] = {}
-            (
-                clustered_sample,
-                participating,
-                isolated,
-                _shard_rock_result,
-                kept_clusters,
-                pruned_points,
-            ) = self._cluster_sample(sample, build_item_index(sample), shard_timings)
-            clustered_positions = [positions[i] for i in participating]
-            return ShardClusterResult(
-                shard_id=shard_id,
-                clustered_sample=clustered_sample,
-                clustered_positions=clustered_positions,
-                clusters=list(kept_clusters),
-                isolated_positions=[positions[i] for i in isolated],
-                pruned_positions=[clustered_positions[j] for j in pruned_points],
-                timings=shard_timings,
-            )
+            return cluster_sample(
+                params, sample, positions, build_item_index(sample), shard_id
+            )[0]
 
         shard_results = cluster_shards(
             shard_samples,
             cluster_one,
             shard_workers,
             retries=shard_retries,
-            strict=self.strict,
-            executor=resolved_executor,
-            worker_config=worker_config,
+            strict=params.strict,
+            executor=executor,
+            worker_config=params,
         )
         timings["neighbors"] = sum(
             result.timings.get("neighbors", 0.0) for result in shard_results
@@ -1640,14 +1487,12 @@ class RockPipeline:
 
         merge_start = time.perf_counter()
         pooled_sample: list[frozenset] = []
-        pooled_positions: list[int] = []
         summaries: list[tuple] = []
         summary_groups: list[list[int]] = []
         for result in shard_results:
             offset = len(pooled_sample)
             first_summary = len(summaries)
             pooled_sample.extend(result.clustered_sample)
-            pooled_positions.extend(result.clustered_positions)
             summaries.extend(
                 tuple(offset + member for member in cluster)
                 for cluster in result.clusters
@@ -1659,32 +1504,28 @@ class RockPipeline:
         merge = merge_shard_summaries(
             pooled_sample,
             summaries,
-            self.n_clusters,
-            self.theta,
-            measure=self.measure,
-            exponent_function=self.exponent_function,
+            params.n_clusters,
+            params.theta,
+            measure=params.measure,
+            exponent_function=params.exponent_function,
             representatives_per_cluster=representatives_per_cluster,
             rng=merge_rng,
-            neighbor_strategy=self.neighbor_strategy,
-            neighbor_block_size=self.neighbor_block_size,
-            link_strategy=self.link_strategy,
-            include_self_links=self.include_self_links,
+            neighbor_strategy=params.neighbor_strategy,
+            neighbor_block_size=params.neighbor_block_size,
+            link_strategy=params.link_strategy,
+            include_self_links=params.include_self_links,
             item_index=item_index,
             fan_in=merge_fan_in,
             summary_groups=summary_groups if merge_fan_in is not None else None,
         )
-        if merge.stopped_early and self.strict:
+        if merge.stopped_early and params.strict:
             raise InsufficientLinksError(
                 "summary merge: no cross-summary links remain with %d global "
                 "clusters (requested %d); lower theta, reduce n_clusters or "
-                "use fewer shards" % (len(merge.groups), self.n_clusters)
+                "use fewer shards" % (len(merge.groups), params.n_clusters)
             )
         kept_clusters = [
-            tuple(
-                index
-                for summary_id in group
-                for index in summaries[summary_id]
-            )
+            tuple(index for summary_id in group for index in summaries[summary_id])
             for group in merge.groups
         ]
         timings["merge"] = time.perf_counter() - merge_start
@@ -1703,69 +1544,12 @@ class RockPipeline:
             merge_history=merge.merge_history,
             n_clusters=len(pooled_clusters),
             criterion=merge.criterion,
-            theta=self.theta,
+            theta=params.theta,
             stopped_early=merge.stopped_early,
             elapsed_seconds=timings["merge"],
         )
-
-        # ---- Phase 5: batched labelling pass ------------------------- #
-        phase_start = time.perf_counter()
-        cluster_members_full = [
-            tuple(sorted(pooled_positions[i] for i in members))
-            for members in kept_clusters
-        ]
-        labels = np.full(n_points, -1, dtype=int)
-        for label, members in enumerate(cluster_members_full):
-            labels[list(members)] = label
-
-        sample_pending: list[int] = []
-        for result in shard_results:
-            sample_pending.extend(result.isolated_positions)
-            sample_pending.extend(result.pruned_positions)
-        sample_pending = sorted(set(sample_pending))
-        has_remainder = n_points > len(sample_indices)
-
-        labeling_result, labeled_indices = self._label_out_of_core(
-            batches,
-            sample_set,
-            pooled_sample,
-            kept_clusters,
-            item_index,
-            transaction_of_sample_index,
-            sample_pending,
-            labels,
-            has_remainder,
-        )
-        timings["labeling"] = time.perf_counter() - phase_start
-
-        return self._finalize(
-            n_points,
-            labels,
-            len(cluster_members_full),
-            sample_indices,
-            rock_result,
-            labeling_result,
-            labeled_indices,
-            timings,
-            total_start,
-            extra_parameters={
-                "sharded": True,
-                "n_shards": n_shards,
-                "shard_strategy": shard_strategy,
-                "shard_workers": shard_workers,
-                "shard_executor": resolved_executor,
-                "shard_retries": int(shard_retries),
-                "merge_fan_in": merge_fan_in,
-                "merge_levels": merge.levels,
-                "batch_size": int(batch_size),
-                "representatives_per_cluster": (
-                    representatives_per_cluster
-                    if isinstance(representatives_per_cluster, str)
-                    else int(representatives_per_cluster)
-                ),
-                "skipped_shards": list(shard_results.skipped_shards),
-            },
-        )
+        clustered = _Clustered.pool(shard_results, kept_clusters, rock_result, item_index)
+        return clustered, merge.levels, list(shard_results.skipped_shards)
 
 
 def rock_cluster(

@@ -94,7 +94,7 @@ from repro.similarity.base import SetSimilarity
 from repro.types import MergeStep
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from repro.core.shard_worker import ShardWorkerConfig
+    from repro.core.pipeline import PipelineParams
 
 #: Partitioning strategies accepted by :class:`ShardPlan`.
 SHARD_STRATEGIES = ("round-robin", "contiguous", "hash")
@@ -133,7 +133,7 @@ AUTO_SHARD_EXECUTOR = "auto"
 def resolve_shard_executor(
     executor: str,
     shard_workers: int | None = None,
-    worker_config: "ShardWorkerConfig | None" = None,
+    worker_config: "PipelineParams | None" = None,
 ) -> str:
     """Resolve an executor request to a concrete :data:`SHARD_EXECUTORS` name.
 
@@ -414,7 +414,7 @@ def cluster_shards(
     retries: int = 1,
     strict: bool = False,
     executor: str = DEFAULT_SHARD_EXECUTOR,
-    worker_config: "ShardWorkerConfig | None" = None,
+    worker_config: "PipelineParams | None" = None,
 ) -> ShardRunResults:
     """Cluster every shard sample, optionally in parallel, with retries.
 
@@ -457,9 +457,9 @@ def cluster_shards(
         attach it read-only, and retries failures in deterministic waves;
         the labels it produces are bit-identical to the thread executor's.
     worker_config:
-        :class:`repro.core.shard_worker.ShardWorkerConfig` describing the
-        per-shard clustering; required by (and only consulted for) the
-        process executor.
+        The pipeline's :class:`repro.core.pipeline.PipelineParams`, which
+        process workers cluster every shard with; required by (and only
+        consulted for) the process executor.
 
     Returns
     -------
@@ -566,7 +566,7 @@ def cluster_shards(
 
 def _cluster_shards_process(
     tasks: list[tuple],
-    worker_config: "ShardWorkerConfig",
+    worker_config: "PipelineParams",
     shard_workers: int | None,
     retries: int,
 ) -> list[tuple]:
@@ -641,18 +641,15 @@ def _cluster_shards_process(
                         still_pending.append(position)
                         continue
                     shard_id, sample, positions = tasks[position]
-                    clustered_positions = [
-                        positions[i] for i in compact.participating
-                    ]
                     results[position] = ShardClusterResult(
                         shard_id=shard_id,
                         clustered_sample=[sample[i] for i in compact.participating],
-                        clustered_positions=clustered_positions,
+                        clustered_positions=[
+                            positions[i] for i in compact.participating
+                        ],
                         clusters=list(compact.clusters),
                         isolated_positions=[positions[i] for i in compact.isolated],
-                        pruned_positions=[
-                            clustered_positions[j] for j in compact.pruned_points
-                        ],
+                        pruned_positions=[positions[i] for i in compact.pruned],
                         timings=compact.timings,
                     )
             pending = still_pending
@@ -745,6 +742,33 @@ def adaptive_representative_bounds(
         scaled = np.sqrt(float(len(lengths))) * (1.0 + spread)
         bounds[position] = int(np.clip(np.ceil(scaled), floor, ceiling))
     return bounds
+
+
+def validate_merge_options(
+    fan_in: int | None, representatives_per_cluster: int | str
+) -> None:
+    """Reject summary-merge options that :func:`merge_shard_summaries` refuses.
+
+    Shared by the merge itself and the top of
+    :meth:`repro.core.pipeline.RockPipeline.run_sharded`, so a bad option
+    fails for every shard count and before any shard is sampled.
+    """
+    if isinstance(representatives_per_cluster, str):
+        if representatives_per_cluster != ADAPTIVE_REPRESENTATIVES:
+            raise ConfigurationError(
+                "representatives_per_cluster must be a positive int or %r, "
+                "got %r" % (ADAPTIVE_REPRESENTATIVES, representatives_per_cluster)
+            )
+    elif representatives_per_cluster < 1:
+        raise ConfigurationError(
+            "representatives_per_cluster must be positive, got %r"
+            % representatives_per_cluster
+        )
+    if fan_in is not None and int(fan_in) < 2:
+        raise ConfigurationError(
+            "fan_in must be at least 2 (or None for a flat merge), got %r"
+            % fan_in
+        )
 
 
 def merge_shard_summaries(
@@ -845,25 +869,10 @@ def merge_shard_summaries(
         raise DataValidationError("summary merge requires at least one summary")
     if any(not len(members) for members in summaries):
         raise DataValidationError("summaries must be non-empty member lists")
-    if isinstance(representatives_per_cluster, str):
-        if representatives_per_cluster != ADAPTIVE_REPRESENTATIVES:
-            raise ConfigurationError(
-                "representatives_per_cluster must be a positive int or %r, "
-                "got %r" % (ADAPTIVE_REPRESENTATIVES, representatives_per_cluster)
-            )
-    elif representatives_per_cluster < 1:
-        raise ConfigurationError(
-            "representatives_per_cluster must be positive, got %r"
-            % representatives_per_cluster
-        )
+    validate_merge_options(fan_in, representatives_per_cluster)
     if n_clusters < 1:
         raise ConfigurationError(
             "n_clusters must be positive, got %r" % n_clusters
-        )
-    if fan_in is not None and int(fan_in) < 2:
-        raise ConfigurationError(
-            "fan_in must be at least 2 (or None for a flat merge), got %r"
-            % fan_in
         )
     if exponent_function is None:
         exponent_function = default_expected_links_exponent

@@ -15,7 +15,6 @@ import pytest
 
 from repro.bench.engine_bench import WORKLOAD
 from repro.core.pipeline import RockPipeline
-from repro.core.shard_worker import ShardWorkerConfig
 from repro.core.sharding import (
     ADAPTIVE_REPRESENTATIVES,
     ADAPTIVE_REPRESENTATIVES_CEILING,
@@ -276,6 +275,41 @@ class TestMergeShardSummaries:
             )
 
 
+class TestRunShardedOptions:
+    """run_sharded checks and reports its options the same for every shard count."""
+
+    @pytest.mark.parametrize("n_shards", [1, 2])
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"merge_fan_in": 1},
+            {"representatives_per_cluster": 0},
+            {"representatives_per_cluster": "bogus"},
+        ],
+    )
+    def test_bad_merge_options_rejected_before_any_pass(
+        self, tight_baskets, n_shards, options
+    ):
+        passes = []
+
+        def source():
+            passes.append(1)
+            return iter(tight_baskets.transactions)
+
+        with pytest.raises(ConfigurationError):
+            _pipeline().run_sharded(source, n_shards=n_shards, **options)
+        assert passes == []
+
+    def test_parameter_keys_independent_of_shard_count(self, tight_baskets):
+        transactions = tight_baskets.transactions
+        one = _pipeline().run_sharded(transactions, n_shards=1)
+        three = _pipeline().run_sharded(transactions, n_shards=3)
+        assert list(one.parameters) == list(three.parameters)
+        assert one.parameters["merge_levels"] == 0
+        assert one.parameters["skipped_shards"] == []
+        assert one.parameters["representatives_per_cluster"] == 16
+
+
 class TestRunShardedDeterminism:
     def test_one_shard_bit_identical_to_streaming(self, tight_baskets, tmp_path):
         path = tmp_path / "baskets.txt"
@@ -402,7 +436,7 @@ class TestRunShardedQuality:
 
 class TestResolveShardExecutor:
     def _worker_config(self):
-        return ShardWorkerConfig.from_pipeline(_pipeline())
+        return _pipeline().params
 
     def test_concrete_names_pass_through(self):
         assert resolve_shard_executor(DEFAULT_SHARD_EXECUTOR) == DEFAULT_SHARD_EXECUTOR

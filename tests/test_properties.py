@@ -13,6 +13,7 @@ from repro.core.incremental import IncrementalRock
 from repro.core.labeling import StreamingLabeler
 from repro.core.links import cross_cluster_links, links_from_neighbors
 from repro.core.neighbors import compute_neighbors
+from repro.core.pipeline import RockPipeline
 from repro.core.rock import RockClustering
 from repro.evaluation.metrics import (
     adjusted_rand_index,
@@ -315,6 +316,70 @@ class TestIncrementalProperties:
                 )
             )
         assert outcomes[0] == outcomes[1]
+
+
+# ----------------------------------------------------------------------- #
+# Pipeline modes: one phase sequence, one result
+# ----------------------------------------------------------------------- #
+@st.composite
+def pipeline_cases(draw):
+    """Small basket data, a sample smaller than it, and pipeline options."""
+    transactions = draw(
+        st.lists(
+            st.frozensets(st.integers(min_value=0, max_value=9), max_size=5),
+            min_size=4,
+            max_size=24,
+        )
+    )
+    options = dict(
+        n_clusters=draw(st.integers(min_value=1, max_value=3)),
+        theta=draw(st.sampled_from([0.2, 0.4, 0.6])),
+        sample_size=draw(st.integers(min_value=2, max_value=len(transactions) - 1)),
+        labeling_fraction=draw(
+            st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
+        ),
+        min_neighbors=draw(st.integers(min_value=0, max_value=2)),
+        min_cluster_size=draw(st.integers(min_value=1, max_value=3)),
+        assign_outliers=draw(st.booleans()),
+        rng=draw(st.integers(min_value=0, max_value=2**16)),
+    )
+    batch_size = draw(st.integers(min_value=1, max_value=len(transactions)))
+    return transactions, options, batch_size
+
+
+class TestPipelineModeProperties:
+    """run, run_streaming, run_online (no refresh) and one-shard run_sharded
+    run the same phases, so they agree on every label, every cluster and the
+    generator draws they leave behind."""
+
+    MODES = {
+        "run": lambda pipeline, data, batch: pipeline.run(data),
+        "streaming": lambda pipeline, data, batch: pipeline.run_streaming(
+            data, batch_size=batch
+        ),
+        "online": lambda pipeline, data, batch: pipeline.run_online(
+            data, batch_size=batch
+        ),
+        "sharded": lambda pipeline, data, batch: pipeline.run_sharded(
+            data, n_shards=1, batch_size=batch
+        ),
+    }
+
+    @settings(deadline=None, max_examples=40)
+    @given(case=pipeline_cases())
+    def test_modes_agree(self, case):
+        transactions, options, batch_size = case
+        outcomes = {}
+        for mode, run in self.MODES.items():
+            pipeline = RockPipeline(**options)
+            result = run(pipeline, transactions, batch_size)
+            outcomes[mode] = (result, pipeline.rng.random())
+        reference, reference_draw = outcomes["run"]
+        for mode, (result, next_draw) in outcomes.items():
+            assert np.array_equal(result.labels, reference.labels), mode
+            assert result.clusters == reference.clusters, mode
+            assert result.n_outliers == reference.n_outliers, mode
+            assert next_draw == reference_draw, mode
 
 
 # ----------------------------------------------------------------------- #
